@@ -195,7 +195,46 @@ def _check_tile(payload, sys: MoranSystem, checks):
     )
 
 
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _int_list(record, key, where) -> list:
+    values = record.get(key)
+    if not isinstance(values, list) or not all(_is_int(v) for v in values):
+        raise ParseError(f"{where}: {key!r} must be a list of integers")
+    return values
+
+
+def _spectrum_levels(payload) -> list:
+    """The payload's level records, after checking every field the replay
+    reads; a malformed record is a parse error, not a failed check."""
+    for key in ("scale_exponent", "denominator"):
+        if not _is_int(payload.get(key)):
+            raise ParseError(f"spectrum payload: {key!r} must be an integer")
+    levels = payload.get("levels")
+    if not isinstance(levels, list):
+        raise ParseError("spectrum payload: 'levels' must be a list")
+    for i, record in enumerate(levels):
+        where = f"spectrum level record {i}"
+        if not isinstance(record, dict):
+            raise ParseError(f"{where}: must be a JSON object")
+        if not _is_int(record.get("level")):
+            raise ParseError(f"{where}: 'level' must be an integer")
+        bps = _int_list(record, "breakpoints", where)
+        if not bps or bps[0] != 0 or any(a >= b for a, b in zip(bps, bps[1:])):
+            raise ParseError(f"{where}: 'breakpoints' must start at 0 and strictly increase")
+        _int_list(record, "elements", where)
+        if not isinstance(record.get("denormalized"), list):
+            raise ParseError(f"{where}: 'denormalized' must be a list")
+        stated = record.get("tail_bound")
+        if stated is not None and type(stated) not in (int, float):
+            raise ParseError(f"{where}: 'tail_bound' must be a number or null")
+    return levels
+
+
 def _check_spectrum(payload, sys: MoranSystem, checks, params, tol):
+    levels = _spectrum_levels(payload)
     work, m = normalize(sys)
     checks.append(
         ("scale-exponent", m == payload["scale_exponent"], f"recomputed {m}")
@@ -208,7 +247,9 @@ def _check_spectrum(payload, sys: MoranSystem, checks, params, tol):
         )
     )
     den = sys.N**m
-    for record in payload["levels"]:
+    if not levels:
+        checks.append(("levels", False, "the certificate lists no level"))
+    for record in levels:
         tag = f"level-{record['level']}"
         k = record["breakpoints"][-1]
         elements = list(record["elements"])

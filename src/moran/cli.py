@@ -33,7 +33,7 @@ from .errors import (
     ResourceError,
     UnsupportedCaseError,
 )
-from .fourier import mu_hat_grid, mu_hat_shifted_grid, nu_hat_tail
+from .fourier import TailKernel, mu_hat_grid, mu_hat_shifted_grid
 from .spectra import build_spectrum
 from .system import (
     CaseI,
@@ -305,9 +305,10 @@ def cmd_plot_data(cfg, args) -> int:
         values = np.abs(mu_hat_grid(system, args.k, xs))
         text = _csv(zip(xs, values), "x,value")
     elif args.what == "nu_tail":
+        tail = TailKernel(system, args.k, depth)
         rows = []
         for x in xs:
-            value, err = nu_hat_tail(system, args.k, float(x), depth)
+            value, err = tail(float(x))
             rows.append((float(x), abs(value), err))
         text = _csv(rows, "x,value,err")
     else:

@@ -144,29 +144,77 @@ def _tail_ratio_sum(sys: MoranSystem, k: int, M: int) -> Fraction:
     return total + block * Fraction(Bp, Bp - 1)
 
 
+class TailKernel:
+    """The truncated tail transform past level k, set up once for reuse.
+
+    Everything that does not depend on the frequency is done here: the
+    growth hypothesis check, the tail scale products b_{k+1} ... b_{k+n}
+    for n = 1..M with their digit steps, and the exact truncation ratio
+    sum. Calls then cost M short exponential sums each.
+    """
+
+    def __init__(self, sys: MoranSystem, k: int, M: int):
+        bad = hypothesis_holds_from(sys, k + 1)
+        if bad is not None:
+            raise UnsupportedCaseError(
+                f"tail bound needs |b| > (N-1)|t| from index {k + 1} on; index {bad} violates it"
+            )
+        self.N = sys.N
+        factors = []
+        B = 1
+        for n in range(1, M + 1):
+            B *= sys.b_entry(k + n)
+            factors.append((sys.t_entry(k + n), B))
+        self._factors = tuple(factors)
+        self._err_scale = pi * (sys.N - 1)
+        self._ratio = float(_tail_ratio_sum(sys, k, M))
+
+    def __call__(self, xi):
+        """(value, err) at xi; |true tail value - value| <= err.
+
+        The bound comes from |exp(i theta) - 1| <= |theta| applied to
+        every dropped factor, so it is proportional to |xi| and decays
+        with the full b product.
+        """
+        if isinstance(xi, (int, Fraction)):
+            return self.exact(xi.numerator, xi.denominator)
+        value = complex(1)
+        for t, B in self._factors:
+            value *= m_factor(self.N, t, xi / B)
+        return value, self._err_scale * abs(float(xi)) * self._ratio
+
+    def exact(self, p: int, q: int):
+        """(value, err) at the rational p/q, for integers p and q != 0.
+
+        Each phase j*t*p/(q*B) is reduced modulo 1 as an integer residue
+        over q*B; the one rounding is the correctly rounded quotient of
+        the two integers, so huge arguments lose no precision.
+        """
+        if q < 0:
+            p, q = -p, -q
+        N = self.N
+        turn = 2j * pi
+        value = complex(1)
+        for t, B in self._factors:
+            den = q * B
+            step = t * p
+            if den < 0:
+                den, step = -den, -step
+            total = 0j
+            for j in range(N):
+                total += cmath.exp(turn * (j * step % den / den))
+            value *= total / N
+        return value, self._err_scale * abs(p / q) * self._ratio
+
+
 def nu_hat_tail(sys: MoranSystem, k: int, xi, M: int):
     """Truncated tail transform past level k with a certified bound.
 
     Returns (value, err): the product of tail factors k+1 .. k+M and a
-    bound with |true tail value - value| <= err. The bound comes from
-    |exp(i theta) - 1| <= |theta| applied to every dropped factor, so
-    it is proportional to |xi| and decays with the full b product.
+    bound with |true tail value - value| <= err. Callers evaluating many
+    frequencies for one (sys, k, M) should build one TailKernel instead.
     """
-    bad = hypothesis_holds_from(sys, k + 1)
-    if bad is not None:
-        raise UnsupportedCaseError(
-            f"tail bound needs |b| > (N-1)|t| from index {k + 1} on; index {bad} violates it"
-        )
-    exact = isinstance(xi, (int, Fraction))
-    value = complex(1)
-    B = 1
-    for n in range(1, M + 1):
-        B *= sys.b_entry(k + n)
-        t = sys.t_entry(k + n)
-        arg = Fraction(xi, B) if exact else xi / B
-        value *= m_factor(sys.N, t, arg)
-    err = pi * (sys.N - 1) * abs(float(xi)) * float(_tail_ratio_sum(sys, k, M))
-    return value, err
+    return TailKernel(sys, k, M)(xi)
 
 
 def support_radius(sys: MoranSystem, k: int) -> ExactRational:
@@ -240,8 +288,8 @@ def zero_set_member(sys: MoranSystem, xi, horizon: Optional[int] = None) -> Opti
 class TransformEvaluator:
     """Bundle of a system with a default truncation depth.
 
-    Convenience wrapper used by the command line for grid exports; the
-    module functions stay the primary interface.
+    Convenience wrapper for grid exports; the module functions stay the
+    primary interface.
     """
 
     sys: MoranSystem
@@ -257,8 +305,9 @@ class TransformEvaluator:
     def grid_rows(self, k: int, xs, depth: Optional[int] = None):
         """Rows (xi, |mu_hat_k|, |tail value|, err) for CSV export."""
         mags = np.abs(mu_hat_grid(self.sys, k, xs))
+        tail = TailKernel(self.sys, k, self.depth if depth is None else depth)
         rows = []
         for x, mag in zip(xs, mags):
-            value, err = self.tail(k, float(x), depth)
+            value, err = tail(float(x))
             rows.append((float(x), float(mag), abs(value), err))
         return rows

@@ -9,6 +9,7 @@ run on exact integers; floats appear only inside certified tail bounds.
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
@@ -23,7 +24,8 @@ from .errors import (
     ResourceError,
     UnsupportedCaseError,
 )
-from .fourier import m_factor, mu_hat_shifted_grid, nu_hat_tail, zero_set_member
+from .fourier import TailKernel, m_factor, mu_hat_shifted_grid
+from .numthy import _valuation_unchecked
 from .system import (
     CaseI,
     CaseII,
@@ -254,15 +256,18 @@ def _window_order(K):
         yield -z
 
 
-def _qualifying_offset(sys, k, xs, params):
+def _qualifying_offset(tails, params):
+    """First offset z in window order whose tail lower bounds all clear C.
+
+    tails(z) yields the (value, err) pairs to certify at offset z.
+    """
     best_z = None
     best_lower = None
     best_pair = (0.0, 0.0)
     for z in _window_order(params.K):
         worst = None
         pair = (0.0, 0.0)
-        for x in xs:
-            value, err = nu_hat_tail(sys, k, x + z, params.depth)
+        for value, err in tails(z):
             lower = abs(value) - err
             if worst is None or lower < worst:
                 worst = lower
@@ -291,7 +296,8 @@ def offset_search(sys: MoranSystem, k: int, x, params: Optional[SpectrumBuildPar
     params = params or SpectrumBuildParams()
     if x == 0:
         return 0
-    return _qualifying_offset(sys, k, [x], params)
+    tail = TailKernel(sys, k, params.depth)
+    return _qualifying_offset(lambda z: (tail(x + z),), params)
 
 
 # -- level assembly --------------------------------------------------------
@@ -325,14 +331,18 @@ def build_level(
     alpha = alpha_true(sys) if isinstance(case, CaseII) else 0
     block = build_block(sys, k_prev, k_next, case, alpha)
     Bm = sys.b_product(block.anchor)
+    tail = TailKernel(sys, block.anchor, params.depth)
     offsets = []
     out = []
     for lam_b in block.elements:
         if lam_b == 0:
             z = 0
         else:
-            xs = [Fraction(lp + lam_b, Bm) for lp in prev.elements]
-            z = _qualifying_offset(sys, block.anchor, xs, params)
+            # the tail is certified at (lp + lam_b + z*Bm) / Bm for every lp
+            nums = [lp + lam_b for lp in prev.elements]
+            z = _qualifying_offset(
+                lambda z: (tail.exact(n + z * Bm, Bm) for n in nums), params
+            )
         offsets.append(z)
         shifted = lam_b + Bm * z
         out.extend(lp + shifted for lp in prev.elements)
@@ -354,20 +364,52 @@ def build_level(
 # -- verification ----------------------------------------------------------
 
 
+def _zero_set_table(sys: MoranSystem, k: int, reach: int) -> dict:
+    """Level-k zero-set components keyed by their N-power exponent.
+
+    Component j is N^{s_j} * bold_b(j) * w / t'_j over integers w prime
+    to N, so an integer N^e * u lies in it exactly when s_j = e and
+    bold_b(j) divides u * t'_j. Every member has modulus at least
+    |B_j| / (N |t_j|), so indices with |B_j| > N * t_max * reach cannot
+    contain a difference of size at most reach and are left out.
+    """
+    sk = sys.skeleton
+    limit = sys.N * max(abs(v) for v in sys.t.all_values()) * reach
+    table = {}
+    for j in range(1, k + 1):
+        if abs(sys.b_product(j)) > limit:
+            break
+        table.setdefault(sk.s(j), []).append((sk.t_free(j), sk.bold_b(j)))
+    return table
+
+
 def verify_orthogonal(sys: MoranSystem, lam, k: int):
     """Exact pairwise-difference membership in the level-k zero set.
 
     Returns (True, None), or (False, witness) with the first positive
-    difference that misses every component up to index k.
+    difference, in sorted pair order, that misses every component up to
+    index k. Each distinct difference is decided once, by its N-adic
+    valuation: that exponent names the only components that can hold it.
     """
-    elems = sorted(lam)
+    try:
+        elems = sorted(map(operator.index, lam))
+    except TypeError:
+        raise DomainError("candidate spectra must have integer elements") from None
     if len(set(elems)) != len(elems):
         raise DomainError("candidate spectra must have distinct elements")
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            diff = elems[j] - elems[i]
-            member = zero_set_member(sys, diff)
-            if member is None or member > k:
+    if len(elems) < 2:
+        return (True, None)
+    N = sys.N
+    table = _zero_set_table(sys, k, elems[-1] - elems[0])
+    seen = set()
+    for i, a in enumerate(elems):
+        for b in elems[i + 1 :]:
+            diff = b - a
+            if diff in seen:
+                continue
+            seen.add(diff)
+            e, u = _valuation_unchecked(diff, N)
+            if not any(u * t % bb == 0 for t, bb in table.get(e, ())):
                 return (False, diff)
     return (True, None)
 
@@ -398,10 +440,11 @@ def verify_tail_lower_bound(sys: MoranSystem, lam, k: int, params: Optional[Spec
     """
     params = params or SpectrumBuildParams()
     B = sys.b_product(k)
+    tail = TailKernel(sys, k, params.depth)
     worst = math.inf
     witness = None
     for lam_i in lam:
-        value, err = nu_hat_tail(sys, k, Fraction(lam_i, B), params.depth)
+        value, err = tail.exact(lam_i.numerator, lam_i.denominator * B)
         lower = abs(value) - err
         if lower < worst:
             worst = lower
@@ -577,7 +620,8 @@ def calibrate_radius(sys: MoranSystem, k: int, params: Optional[SpectrumBuildPar
     params = params or SpectrumBuildParams()
     xs = np.arange(0.0, span + step, step)
     vals = np.empty(xs.size)
+    tail = TailKernel(sys, k, params.depth)
     for i, x in enumerate(xs):
-        value, _ = nu_hat_tail(sys, k, float(x), params.depth)
+        value, _ = tail(float(x))
         vals[i] = abs(value)
     return float(np.max(np.abs(np.diff(vals))))

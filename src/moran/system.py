@@ -148,8 +148,9 @@ class SSkeleton:
     """Per-index cache of s_k, N-free parts b'_k / t'_k, their products
     bold_b_k, and the periodic-drift data used for certification.
 
-    The memo lists are append-only and their fills idempotent, so concurrent
-    readers are safe.
+    The memo lists are append-only and filled on demand; an extension
+    appends to each list in turn, so instances are not safe to share
+    between threads.
     """
 
     def __init__(self, sys: MoranSystem):

@@ -132,12 +132,20 @@ def build_complement(sys: MoranSystem, k: int) -> TilingComplement:
 
 
 def verify_tiling(D, L, modulus: int) -> bool:
-    """Exact-cover check: every residue is hit exactly once by D + L."""
+    """Exact-cover check: every residue is hit exactly once by D + L.
+
+    The check keeps one byte per residue, so a modulus above ELEMENT_CAP
+    is refused before that table is allocated.
+    """
     D = tuple(D)
     L = tuple(L)
     if len(D) * len(L) != modulus:
         raise PreconditionError(
             f"|D| * |L| = {len(D) * len(L)} does not match the modulus {modulus}"
+        )
+    if modulus > ELEMENT_CAP:
+        raise ResourceError(
+            f"exact-cover check over modulus {modulus} is above the cap {ELEMENT_CAP}"
         )
     counts = bytearray(modulus)
     for d in D:

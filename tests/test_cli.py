@@ -156,6 +156,38 @@ def test_verify_rejects_verification_records(conf, capsys, tmp_path):
     assert "nothing to re-run" in err
 
 
+@pytest.mark.parametrize(
+    "mutate,code,message",
+    [
+        (lambda p: p.update(levels=[]), 1, "FAIL levels (the certificate lists no level)"),
+        (lambda p: p.pop("levels"), 3, "'levels' must be a list"),
+        (lambda p: p["levels"][0]["elements"].__setitem__(1, "5"), 3, "list of integers"),
+    ],
+    ids=["empty", "missing", "string-element"],
+)
+def test_verify_rejects_hollow_or_malformed_levels(conf, capsys, tmp_path, mutate, code, message):
+    cfg = conf(EX1)
+    cert = tmp_path / "spectrum.json"
+    run(capsys, ["spectrum", cfg, "--levels", "1", "--out", str(cert)])
+    data = json.loads(cert.read_text())
+    mutate(data["payload"])
+    cert.write_text(json.dumps(data))
+    got, out, err = run(capsys, ["verify", cfg, str(cert)])
+    assert got == code
+    assert message in (out if code == 1 else err)
+    if code == 1:
+        assert "result: FAIL" in out
+    assert "Traceback" not in out + err
+
+
+def test_tile_over_the_cover_cap_is_a_limit(conf, capsys):
+    # modulus 3^23: the exact-cover table would need ~94 GB
+    code, _, err = run(capsys, ["tile", conf("N = 3\nb.period = 9\nt.period = 1 4\n"), "--k", "12"])
+    assert code == 2
+    assert err.startswith("limit:")
+    assert "94143178827" in err
+
+
 def test_spectrum_refusal_names_the_inequality(conf, capsys):
     code, _, err = run(capsys, ["spectrum", conf(TILE_ONLY), "--levels", "1"])
     assert code == 1

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from moran.errors import HorizonError, UnsupportedCaseError
 from moran.fourier import (
+    TailKernel,
     TransformEvaluator,
     _tail_ratio_sum,
     m_factor,
@@ -46,6 +47,26 @@ def ref_tail_partial(sys, k, M, depth):
         B = prod(abs(sys.b_entry(k + i)) for i in range(1, n + 1))
         total += Fraction(abs(sys.t_entry(k + n)), B)
     return total
+
+
+def ref_tail(sys, k, xi, M):
+    # the per-call tail loop: a Fraction argument per factor, reduced
+    # modulo 1 inside m_factor, and the ratio sum recomputed every call
+    exact = isinstance(xi, (int, Fraction))
+    value = complex(1)
+    B = 1
+    for n in range(1, M + 1):
+        B *= sys.b_entry(k + n)
+        arg = Fraction(xi, B) if exact else xi / B
+        value *= m_factor(sys.N, sys.t_entry(k + n), arg)
+    err = pi * (sys.N - 1) * abs(float(xi)) * float(_tail_ratio_sum(sys, k, M))
+    return value, err
+
+
+def bits(pair):
+    # exact float identity, telling -0.0 from 0.0
+    value, err = pair
+    return (value.real.hex(), value.imag.hex(), err.hex())
 
 
 # -- fixtures --------------------------------------------------------------
@@ -258,6 +279,46 @@ def test_tail_truncation_error_contract():
         value, err = nu_hat_tail(sys, k, xi, M)
         deeper, _ = nu_hat_tail(sys, k, xi, M + 10)
         assert abs(value - deeper) <= err + 1e-12
+
+
+@st.composite
+def hypothesis_systems(draw):
+    N = draw(st.sampled_from([2, 3]))
+    bs, ts = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        t = draw(st.sampled_from([1, 2, -1, 3, 4]))
+        b = draw(st.integers((N - 1) * abs(t) + 1, 40))
+        bs.append(-b if draw(st.booleans()) else b)
+        ts.append(t)
+    return MoranSystem(N, SequenceSpec.periodic(bs), SequenceSpec.periodic(ts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    hypothesis_systems(),
+    st.integers(0, 4),
+    st.integers(0, 20),
+    st.one_of(
+        st.integers(-(10**30), 10**30),
+        st.fractions(max_denominator=10**12).filter(lambda f: abs(f) < 10**25),
+        st.floats(-1e6, 1e6, allow_nan=False),
+    ),
+)
+def test_tail_kernel_matches_reference_loop_bit_for_bit(sys, k, M, xi):
+    want = bits(ref_tail(sys, k, xi, M))
+    kernel = TailKernel(sys, k, M)
+    assert bits(kernel(xi)) == want
+    assert bits(nu_hat_tail(sys, k, xi, M)) == want
+    if not isinstance(xi, float):
+        # unreduced numerators over a negative denominator, as offset
+        # searches pass them, land on the same bits
+        p, q = Fraction(xi).numerator, Fraction(xi).denominator
+        assert bits(kernel.exact(-7 * p, -7 * q)) == want
+
+
+def test_tail_kernel_checks_the_hypothesis_once_at_build():
+    with pytest.raises(UnsupportedCaseError, match="index 2"):
+        TailKernel(example_tile_only(), 1, 5)
 
 
 # -- support radius --------------------------------------------------------

@@ -12,7 +12,7 @@ from itertools import product
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moran.errors import (
@@ -23,7 +23,7 @@ from moran.errors import (
     ResourceError,
     UnsupportedCaseError,
 )
-from moran.fourier import m_factor, mu_hat_k, nu_hat_tail
+from moran.fourier import m_factor, mu_hat_k, nu_hat_tail, zero_set_member
 from moran.spectra import (
     QGridReport,
     SpectrumBlock,
@@ -94,6 +94,18 @@ def ref_block_elements(sys, k1, k2):
         sum(d * g for d, g in zip(digits, gens))
         for digits in product(range(N), repeat=len(gens))
     )
+
+
+def ref_verify_orthogonal(sys, lam, k):
+    # every pair, in sorted order, through the component scan
+    elems = sorted(lam)
+    for i in range(len(elems)):
+        for j in range(i + 1, len(elems)):
+            diff = elems[j] - elems[i]
+            member = zero_set_member(sys, diff)
+            if member is None or member > k:
+                return (False, diff)
+    return (True, None)
 
 
 # -- fixtures --------------------------------------------------------------
@@ -345,6 +357,47 @@ def test_verify_orthogonal_worked_cases():
     assert verify_orthogonal(ex1n, [0], 5) == (True, None)
     with pytest.raises(DomainError):
         verify_orthogonal(ex1n, [0, 0, 81], 2)
+
+
+def test_verify_orthogonal_refuses_non_integers():
+    with pytest.raises(DomainError, match="integer"):
+        verify_orthogonal(example_1(normalized=True), [0, Fraction(81, 2)], 2)
+
+
+@st.composite
+def built_levels(draw):
+    """Levels of a random system that admits a spectrum, or None."""
+    N = draw(st.sampled_from([2, 3]))
+    pool = st.sampled_from([N * N * 2, N * 4 + 1, N**3, 2 * N * N + N, 12, 18, 27, 9, 10, 20])
+    bs = draw(st.lists(pool, min_size=1, max_size=2))
+    ts = draw(st.lists(st.sampled_from([1, 1, 2, 4, N, 5]), min_size=1, max_size=2))
+    try:
+        sys = MoranSystem(N, SequenceSpec.periodic(bs), SequenceSpec.periodic(ts))
+        levels = build_spectrum(sys, draw(st.integers(1, 3)))
+    except MoranError:
+        return None
+    return normalize(sys)[0], levels
+
+
+@settings(max_examples=60, deadline=None)
+@given(built_levels(), st.data())
+def test_verify_orthogonal_matches_pairwise_oracle(built, data):
+    assume(built is not None)
+    work, levels = built
+    for lv in levels:
+        k = lv.breakpoints[-1]
+        assert verify_orthogonal(work, lv.elements, k) == ref_verify_orthogonal(
+            work, lv.elements, k
+        ) == (True, None)
+    # one element moved, so some difference usually leaves the zero set
+    lam = list(levels[-1].elements)
+    k = levels[-1].breakpoints[-1]
+    i = data.draw(st.integers(0, len(lam) - 1))
+    span = 3 * max(abs(e) for e in lam)
+    lam[i] += data.draw(st.integers(-span, span).filter(bool))
+    assume(len(set(lam)) == len(lam))
+    for level in (k, k - 1):
+        assert verify_orthogonal(work, lam, level) == ref_verify_orthogonal(work, lam, level)
 
 
 def test_orthogonality_agrees_with_numeric_transform():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from moran.errors import PreconditionError, ResourceError
 from moran.system import MoranSystem, SequenceSpec, normalize
 from moran.tiling import (
+    ELEMENT_CAP,
     aggregate,
     brute_force_complement_search,
     build_complement,
@@ -169,6 +170,15 @@ def test_verify_tiling_examples():
     assert verify_tiling({0, 2, 4, 6}, {0, 1}, 8)
     assert not verify_tiling({0, 1}, {0, 1}, 4)
     assert verify_tiling(range(5), {0}, 5)
+
+
+def test_verify_tiling_refuses_a_modulus_over_the_cap():
+    # a valid cover of 2^25 residues: refused before its table is built
+    D = range(2**12)
+    L = range(0, 2**25, 2**12)
+    with pytest.raises(ResourceError, match="above the cap"):
+        verify_tiling(D, L, 2**25)
+    assert ELEMENT_CAP < 2**25
 
 
 def test_verify_tiling_cardinality_precondition():
