@@ -163,6 +163,7 @@ class VerificationReport:
 
 
 def _check_tile(payload, sys: MoranSystem, checks):
+    payload = _tile_payload(payload)
     k = payload["k"]
     agg = aggregate(sys, k)
     stated = tuple(payload["digit_elements"])
@@ -201,9 +202,21 @@ def _is_int(value) -> bool:
 
 def _int_list(record, key, where) -> list:
     values = record.get(key)
-    if not isinstance(values, list) or not all(_is_int(v) for v in values):
+    # type() rather than isinstance(): a bool is not an element
+    if not isinstance(values, list) or not set(map(type, values)) <= {int}:
         raise ParseError(f"{where}: {key!r} must be a list of integers")
     return values
+
+
+def _tile_payload(payload) -> dict:
+    """The tile payload, after checking every field the replay reads; a
+    malformed field is a parse error, not a failed check."""
+    for key in ("k", "modulus"):
+        if not _is_int(payload.get(key)):
+            raise ParseError(f"tile payload: {key!r} must be an integer")
+    for key in ("exponents", "digit_elements", "complement_elements"):
+        _int_list(payload, key, "tile payload")
+    return payload
 
 
 def _spectrum_levels(payload) -> list:

@@ -56,7 +56,6 @@ from .tiling import (
     ELEMENT_CAP,
     aggregate,
     build_complement,
-    tile_predicate,
     verify_tiling,
 )
 
@@ -182,18 +181,14 @@ def cmd_tile(cfg, args) -> int:
     system = cfg.system()
     fp = cfg.fingerprint()
     print(f"fingerprint: {fp}")
-    if not tile_predicate(system, args.k):
-        sk = system.skeleton
-        seen = {}
-        for i in range(1, args.k + 1):
-            v = sk.s(i)
-            if v in seen:
-                print(
-                    f"tiling at level {args.k}: fails; levels {seen[v]} and {i} "
-                    f"share exponent s = {v}, so the expansion is not direct"
-                )
-                return EXIT_REFUSAL
-            seen[v] = i
+    pair = system.skeleton.first_repeat(args.k)
+    if pair is not None:
+        i, j = pair
+        print(
+            f"tiling at level {args.k}: fails; levels {i} and {j} "
+            f"share exponent s = {system.skeleton.s(j)}, so the expansion is not direct"
+        )
+        return EXIT_REFUSAL
     cap = cfg.options.get("element_cap", ELEMENT_CAP)
     agg = aggregate(system, args.k, element_cap=cap)
     comp = build_complement(system, args.k)

@@ -237,6 +237,21 @@ class SSkeleton:
         self._extend(k)
         return self._head_max[k]
 
+    def first_repeat(self, n: int):
+        """The first pair (i, j), i < j <= n, with s_i = s_j, or None.
+
+        Pairs are ordered by j, so the scan reads s no further than the
+        first repeat. This is the one distinctness scan: the tiling
+        decision, its complement and distinctness_check all use it.
+        """
+        first_seen = {}
+        for j in range(1, n + 1):
+            v = self.s(j)
+            if v in first_seen:
+                return first_seen[v], j
+            first_seen[v] = j
+        return None
+
     # -- periodic-drift machinery ------------------------------------------
 
     def base_stats(self):
@@ -405,12 +420,9 @@ def distinctness_check(
     else:
         scan_to = sys.horizon if window is None else min(window, sys.horizon)
         certified = False
-    first_seen = {}
-    for k in range(1, scan_to + 1):
-        v = sk.s(k)
-        if v in first_seen:
-            return Collision(first_seen[v], k)
-        first_seen[v] = k
+    pair = sk.first_repeat(scan_to)
+    if pair is not None:
+        return Collision(*pair)
     return Distinct(scan_to, certified)
 
 

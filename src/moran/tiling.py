@@ -8,15 +8,20 @@ brute-force searcher that serves as an independent oracle for the
 decision procedure.
 """
 
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import PreconditionError, ResourceError
+import numpy as np
+
+from .errors import DomainError, PreconditionError, ResourceError
 from .system import MoranSystem
 
 ELEMENT_CAP = 2**24
 SEARCH_SIZE_CAP = 2**12
+# Cells per temporary of the exact-cover scatter: its working memory is
+# the one-byte residue table plus a few arrays of this many cells.
+_CHUNK_CELLS = 2**18
 
 
 @dataclass(frozen=True)
@@ -76,12 +81,13 @@ def aggregate(sys: MoranSystem, k: int, element_cap: int = ELEMENT_CAP) -> Aggre
         b_i = sys.b_entry(i)
         t_i = sys.t_entry(i)
         sums = [base * b_i + d * t_i for base in sums for d in digits]
-    counts = Counter(sums)
-    collisions = tuple(sorted(v for v, c in counts.items() if c > 1))
+    sums.sort()
+    # equal neighbours of the sorted list, each value once, in order
+    collisions = tuple(dict.fromkeys(a for a, b in zip(sums, sums[1:]) if a == b))
     alphas = _alpha_exponents(sys, k)
     return AggregateDigitSet(
         k=k,
-        elements=tuple(sorted(counts)),
+        elements=tuple(dict.fromkeys(sums) if collisions else sums),
         exponents=alphas,
         modulus=sys.N ** (max(alphas) + 1),
         direct=not collisions,
@@ -95,14 +101,7 @@ def tile_predicate(sys: MoranSystem, k: int) -> bool:
     Holds exactly when the first k valuation offsets are pairwise
     distinct; no elements are materialized.
     """
-    sk = sys.skeleton
-    seen = set()
-    for i in range(1, k + 1):
-        v = sk.s(i)
-        if v in seen:
-            return False
-        seen.add(v)
-    return True
+    return sys.skeleton.first_repeat(k) is None
 
 
 def build_complement(sys: MoranSystem, k: int) -> TilingComplement:
@@ -114,28 +113,41 @@ def build_complement(sys: MoranSystem, k: int) -> TilingComplement:
     here and the offending pair reported if it fails.
     """
     alphas = _alpha_exponents(sys, k)
-    seen = {}
-    for i, a in enumerate(alphas, start=1):
-        if a in seen:
-            raise PreconditionError(
-                f"expansion is not direct: levels {seen[a]} and {i} share digit position {a}"
-            )
-        seen[a] = i
+    # position top - s_i: two levels share a position iff they share s
+    pair = sys.skeleton.first_repeat(k)
+    if pair is not None:
+        i, j = pair
+        raise PreconditionError(
+            f"expansion is not direct: levels {i} and {j} share digit position {alphas[j - 1]}"
+        )
+    occupied = set(alphas)
     top = max(alphas)
     elements = [0]
     for j in range(top + 1):
-        if j in seen:
+        if j in occupied:
             continue
         step = sys.N**j
         elements = [x + d * step for x in elements for d in range(sys.N)]
     return TilingComplement(k=k, elements=tuple(sorted(elements)), modulus=sys.N ** (top + 1))
 
 
+def _residues(elements, modulus: int):
+    """Each element reduced once, exactly, into an int64 array."""
+    try:
+        return np.array([operator.index(x) % modulus for x in elements], dtype=np.int64)
+    except TypeError as exc:
+        raise DomainError(f"exact-cover check needs integer elements: {exc}") from exc
+
+
 def verify_tiling(D, L, modulus: int) -> bool:
     """Exact-cover check: every residue is hit exactly once by D + L.
 
     The check keeps one byte per residue, so a modulus above ELEMENT_CAP
-    is refused before that table is allocated.
+    is refused before that table is allocated. Sums are scattered into
+    the table a chunk of rows of the longer side at a time, each chunk
+    holding about _CHUNK_CELLS cells, so the working memory beyond the
+    table does not grow with |D|·|L|. A non-integer element raises
+    DomainError.
     """
     D = tuple(D)
     L = tuple(L)
@@ -143,18 +155,26 @@ def verify_tiling(D, L, modulus: int) -> bool:
         raise PreconditionError(
             f"|D| * |L| = {len(D) * len(L)} does not match the modulus {modulus}"
         )
+    if modulus < 1:
+        raise PreconditionError("an exact cover needs a modulus of at least 1")
     if modulus > ELEMENT_CAP:
         raise ResourceError(
             f"exact-cover check over modulus {modulus} is above the cap {ELEMENT_CAP}"
         )
-    counts = bytearray(modulus)
-    for d in D:
-        for ell in L:
-            r = (d + ell) % modulus
-            if counts[r]:
-                return False
-            counts[r] = 1
-    return True
+    rows, cols = (D, L) if len(D) >= len(L) else (L, D)
+    rows = _residues(rows, modulus)
+    cols = _residues(cols, modulus)
+    seen = np.zeros(modulus, dtype=np.bool_)
+    step = max(1, _CHUNK_CELLS // len(cols))
+    for start in range(0, len(rows), step):
+        hit = rows[start : start + step, None] + cols
+        np.remainder(hit, modulus, out=hit)
+        if seen[hit].any():
+            return False
+        seen[hit] = True
+    # |D|·|L| = modulus cells: all residues hit iff none was hit twice,
+    # which also catches a repeat inside one chunk
+    return bool(seen.all())
 
 
 def _complement_at_modulus(D, N, modulus):

@@ -10,6 +10,7 @@ EX1 = "N = 2\nb.period = 18\nt.period = 1 4\n"
 EX2 = "N = 2\nb.period = 18\nt.period = 1 16\n"
 TILE_ONLY = "N = 3\nb.period = 3\nt.preperiod = 1\nt.period = 4\n"
 COLLIDER = "N = 2\nb.period = 2 6\nt.period = 1 2\n"
+QUARTER = "N = 2\nb.period = 4\nt.period = 1\n"
 
 
 @pytest.fixture
@@ -156,19 +157,42 @@ def test_verify_rejects_verification_records(conf, capsys, tmp_path):
     assert "nothing to re-run" in err
 
 
+SPECTRUM_CERT = (EX1, ["spectrum", "--levels", "1"])
+TILE_CERT = (QUARTER, ["tile", "--k", "3"])
+
+
+def _float_digit(payload):
+    payload["digit_elements"][1] = float(payload["digit_elements"][1])
+
+
 @pytest.mark.parametrize(
-    "mutate,code,message",
+    "source,mutate,code,message",
     [
-        (lambda p: p.update(levels=[]), 1, "FAIL levels (the certificate lists no level)"),
-        (lambda p: p.pop("levels"), 3, "'levels' must be a list"),
-        (lambda p: p["levels"][0]["elements"].__setitem__(1, "5"), 3, "list of integers"),
+        (SPECTRUM_CERT, lambda p: p.update(levels=[]), 1, "FAIL levels (the certificate lists no level)"),
+        (SPECTRUM_CERT, lambda p: p.pop("levels"), 3, "'levels' must be a list"),
+        (SPECTRUM_CERT, lambda p: p["levels"][0]["elements"].__setitem__(1, "5"), 3, "list of integers"),
+        (TILE_CERT, lambda p: p.pop("complement_elements"), 3, "'complement_elements' must be a list of integers"),
+        # 1.0 == 1, so only the parse-time check can tell this from the real set
+        (TILE_CERT, _float_digit, 3, "'digit_elements' must be a list of integers"),
+        (TILE_CERT, lambda p: p.update(k="3"), 3, "'k' must be an integer"),
+        (TILE_CERT, lambda p: p.update(complement_elements=[], modulus=0), 3, "modulus of at least 1"),
     ],
-    ids=["empty", "missing", "string-element"],
+    ids=[
+        "empty",
+        "missing",
+        "string-element",
+        "tile-missing-complement",
+        "tile-float-digit",
+        "tile-string-k",
+        "tile-empty-complement",
+    ],
 )
-def test_verify_rejects_hollow_or_malformed_levels(conf, capsys, tmp_path, mutate, code, message):
-    cfg = conf(EX1)
-    cert = tmp_path / "spectrum.json"
-    run(capsys, ["spectrum", cfg, "--levels", "1", "--out", str(cert)])
+def test_verify_rejects_hollow_or_malformed_levels(conf, capsys, tmp_path, source, mutate, code, message):
+    text, argv = source
+    cfg = conf(text)
+    cert = tmp_path / "cert.json"
+    command, *options = argv
+    assert main([command, cfg, *options, "--out", str(cert)]) == 0
     data = json.loads(cert.read_text())
     mutate(data["payload"])
     cert.write_text(json.dumps(data))

@@ -6,6 +6,8 @@ round trip runs on randomized systems.
 """
 
 import random
+import tracemalloc
+from collections import Counter
 from itertools import product as iter_product
 from math import prod
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moran.errors import PreconditionError, ResourceError
+from moran.errors import DomainError, PreconditionError, ResourceError
 from moran.system import MoranSystem, SequenceSpec, normalize
 from moran.tiling import (
     ELEMENT_CAP,
@@ -46,6 +48,19 @@ def ref_aggregate_multiset(sys, k):
             total += tail * digits[i - 1] * sys.t_entry(i)
         out.append(total)
     return sorted(out)
+
+
+def ref_verify_tiling(D, L, modulus):
+    """The per-cell exact-cover loop, one byte per residue: the oracle
+    for the chunked scatter in verify_tiling."""
+    counts = bytearray(modulus)
+    for d in D:
+        for ell in L:
+            r = (d + ell) % modulus
+            if counts[r]:
+                return False
+            counts[r] = 1
+    return True
 
 
 def random_system(rng):
@@ -84,14 +99,20 @@ def test_aggregate_level_one_is_plain_digits():
 
 def test_aggregate_matches_positional_reference():
     rng = random.Random(31)
-    for _ in range(30):
-        sys, k = random_system(rng)
-        ref = ref_aggregate_multiset(sys, k)
+    cases = [random_system(rng) for _ in range(30)] + [
+        # colliding expansions; 6 is reached three ways in the N=3 one
+        (prefix_system(2, [2, 2], [1, 2]), 2),
+        (prefix_system(2, [2, 3, 2], [1, 3, 6]), 3),
+        (prefix_system(3, [3, 3], [1, 3]), 2),
+        (prefix_system(2, [2, 2, 2], [1, 2, 3]), 3),
+    ]
+    for sys, k in cases:
+        ref = Counter(ref_aggregate_multiset(sys, k))
         agg = aggregate(sys, k)
-        assert agg.elements == tuple(sorted(set(ref)))
-        dupes = sorted({v for v in ref if ref.count(v) > 1})
-        assert agg.collisions == tuple(dupes)
+        assert agg.elements == tuple(sorted(ref))
+        assert agg.collisions == tuple(sorted(v for v, c in ref.items() if c > 1))
         assert agg.direct == (len(agg.elements) == sys.N**k)
+    assert aggregate(prefix_system(3, [3, 3], [1, 3]), 2).collisions == (3, 6, 9)
 
 
 def test_aggregate_resource_cap():
@@ -170,6 +191,69 @@ def test_verify_tiling_examples():
     assert verify_tiling({0, 2, 4, 6}, {0, 1}, 8)
     assert not verify_tiling({0, 1}, {0, 1}, 4)
     assert verify_tiling(range(5), {0}, 5)
+    assert verify_tiling([-4, 2**64 + 1], [0, -(2**70) + 2], 4)
+    assert not verify_tiling([3, 3], [0, 1], 4)
+
+
+@pytest.mark.parametrize("bad", [1.0, 0.5, "1"])
+def test_verify_tiling_refuses_non_integer_elements(bad):
+    with pytest.raises(DomainError, match="integer elements"):
+        verify_tiling([0, bad], [0], 2)
+    with pytest.raises(DomainError, match="integer elements"):
+        verify_tiling([0], [0, bad], 2)
+
+
+# Residues are lifted by these multiples of the modulus, so elements run
+# past 2**63 on both sides while the cover stays under control.
+LIFTS = st.sampled_from([0, 1, -1, 2**63, -(2**63), 2**64 + 5]) | st.integers(-(2**80), 2**80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), a=st.integers(1, 12), b=st.integers(1, 12))
+def test_verify_tiling_agrees_with_the_cell_loop(data, a, b):
+    # |D| and |L| each range over 1..12, so both may be the longer side,
+    # and small moduli make repeated elements and accidental covers common
+    modulus = a * b
+    element = st.builds(lambda r, q: r + q * modulus, st.integers(0, modulus - 1), LIFTS)
+    D = data.draw(st.lists(element, min_size=a, max_size=a))
+    L = data.draw(st.lists(element, min_size=b, max_size=b))
+    assert verify_tiling(D, L, modulus) == ref_verify_tiling(D, L, modulus)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), a=st.integers(1, 40), b=st.integers(1, 40), moved=st.booleans())
+def test_verify_tiling_on_lifted_tilings_with_one_element_moved(data, a, b, moved):
+    # range(a) + a*range(b) covers the residues mod a*b exactly once
+    modulus = a * b
+    lifts = data.draw(st.lists(LIFTS, min_size=a + b, max_size=a + b))
+    D = [i + q * modulus for i, q in zip(range(a), lifts)]
+    L = [a * j + q * modulus for j, q in zip(range(b), lifts[a:])]
+    if moved:
+        side = data.draw(st.sampled_from([D, L]))
+        at = data.draw(st.integers(0, len(side) - 1))
+        side[at] += data.draw(st.integers(-(2**66), 2**66))
+    got = verify_tiling(D, L, modulus)
+    assert got == ref_verify_tiling(D, L, modulus)
+    assert verify_tiling(L, D, modulus) == got
+    if not moved:
+        assert got
+
+
+def test_verify_tiling_memory_is_chunked():
+    # |D| = 2,048, |L| = 1,024, modulus 2^21: one unchunked int64 outer
+    # sum would take 16 MB; the residue table is 2 MB
+    sys = prefix_system(2, [4] * 11, [1] * 11)
+    agg = aggregate(sys, 11)
+    comp = build_complement(sys, 11)
+    assert (len(agg.elements), len(comp.elements), agg.modulus) == (2048, 1024, 2**21)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert verify_tiling(agg.elements, comp.elements, agg.modulus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 8 * 2**20
 
 
 def test_verify_tiling_refuses_a_modulus_over_the_cap():
@@ -184,6 +268,9 @@ def test_verify_tiling_refuses_a_modulus_over_the_cap():
 def test_verify_tiling_cardinality_precondition():
     with pytest.raises(PreconditionError):
         verify_tiling({0, 1}, {0, 1}, 8)
+    # an empty side makes |D|·|L| = 0, and residues mod 0 do not exist
+    with pytest.raises(PreconditionError, match="at least 1"):
+        verify_tiling({0, 1}, (), 0)
 
 
 def test_pairwise_sums_all_distinct_modulo():
