@@ -17,7 +17,7 @@ from .errors import (
     ResourceError,
     UnsupportedCaseError,
 )
-from .numthy import ExactRational, Valuation, product_valuation, valuation
+from .numthy import ExactRational, Valuation, valuation
 from .system import (
     MoranSystem,
     SequenceSpec,
@@ -36,7 +36,6 @@ from .tiling import (
     verify_tiling,
 )
 from .fourier import (
-    TransformEvaluator,
     m_factor,
     mu_hat_k,
     mu_hat_shifted_grid,
@@ -49,7 +48,6 @@ from .spectra import (
     SpectrumBuildParams,
     SpectrumLevel,
     build_spectrum,
-    choose_breakpoints,
     q_grid_check,
     verify_orthogonal,
     verify_spectrum_finite,
@@ -72,14 +70,12 @@ __all__ = [
     "SpectrumBuildParams",
     "SpectrumLevel",
     "SystemConfig",
-    "TransformEvaluator",
     "UnsupportedCaseError",
     "Valuation",
     "aggregate",
     "build_complement",
     "build_spectrum",
     "case_classify",
-    "choose_breakpoints",
     "distinctness_check",
     "existence_check",
     "load_config",
@@ -89,7 +85,6 @@ __all__ = [
     "normalize",
     "nu_hat_tail",
     "parse_config_text",
-    "product_valuation",
     "q_grid_check",
     "s_value",
     "spectral_hypothesis_check",

@@ -155,12 +155,6 @@ class VerificationReport:
     passed: bool
     checks: tuple
 
-    def first_failure(self):
-        for name, ok, detail in self.checks:
-            if not ok:
-                return (name, detail)
-        return None
-
 
 def _check_tile(payload, sys: MoranSystem, checks):
     payload = _tile_payload(payload)

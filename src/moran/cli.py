@@ -33,8 +33,8 @@ from .errors import (
     ResourceError,
     UnsupportedCaseError,
 )
-from .fourier import TailKernel, mu_hat_grid, mu_hat_shifted_grid
-from .spectra import build_spectrum
+from .fourier import TailKernel, mu_hat_shifted_grid
+from .spectra import build_spectrum, q_sum
 from .system import (
     CaseI,
     CaseII,
@@ -43,7 +43,6 @@ from .system import (
     Diverges,
     Satisfied,
     SequenceSpec,
-    Violated,
     case_classify,
     default_window,
     distinctness_check,
@@ -297,7 +296,7 @@ def cmd_plot_data(cfg, args) -> int:
     xs = _grid_points(grid)
     depth = args.depth or cfg.options.get("depth", 16)
     if args.what == "mu_hat":
-        values = np.abs(mu_hat_grid(system, args.k, xs))
+        values = np.abs(mu_hat_shifted_grid(system, args.k, xs, 0))
         text = _csv(zip(xs, values), "x,value")
     elif args.what == "nu_tail":
         tail = TailKernel(system, args.k, depth)
@@ -311,10 +310,7 @@ def cmd_plot_data(cfg, args) -> int:
         levels = build_spectrum(system, args.levels, params)
         final = levels[-1]
         work, _ = normalize(system)
-        k = final.breakpoints[-1]
-        total = np.zeros(xs.shape)
-        for lam in final.elements:
-            total += np.abs(mu_hat_shifted_grid(work, k, xs, lam)) ** 2
+        total = q_sum(work, final.elements, final.breakpoints[-1], xs)
         text = _csv(zip(xs, total), "x,value")
     _emit(text, args.out, "plot data")
     return EXIT_OK

@@ -12,7 +12,6 @@ representation, so no float sneaks into a system definition.
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .errors import DomainError, ParseError
 from .spectra import SpectrumBuildParams
@@ -68,12 +67,6 @@ def _parse_grid(raw: str, where: str):
     return (start, stop, count)
 
 
-def _parse_str(raw: str, where: str) -> str:
-    if not raw:
-        raise ParseError(f"{where}: expected a value")
-    return raw
-
-
 _OPTION_PARSERS = {
     "element_cap": _parse_positive_int,
     "depth": _parse_positive_int,
@@ -81,14 +74,11 @@ _OPTION_PARSERS = {
     "window": _parse_positive_int,
     "C": _parse_decimal,
     "epsilon0": _parse_decimal,
-    "tol": _parse_decimal,
     "sigma0": _parse_fraction,
-    "theta0": _parse_fraction,
     "grid": _parse_grid,
-    "out": _parse_str,
 }
 
-_BUILD_PARAM_KEYS = ("C", "K", "theta0", "sigma0", "epsilon0", "depth")
+_BUILD_PARAM_KEYS = ("C", "K", "sigma0", "epsilon0", "depth")
 
 
 @dataclass(frozen=True)

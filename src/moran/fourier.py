@@ -8,7 +8,6 @@ happens on integers and Fractions.
 """
 
 import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import pi
@@ -21,8 +20,6 @@ from .numthy import ExactRational, _valuation_unchecked
 from .system import MoranSystem, hypothesis_holds_from
 
 Rational = Union[int, Fraction]
-
-_SIN_GUARD = 1e-8
 
 
 def m_factor(N: int, t: int, x) -> complex:
@@ -43,20 +40,6 @@ def m_factor(N: int, t: int, x) -> complex:
     return total / N
 
 
-def m_factor_magnitude(N: int, t: int, x: float) -> float:
-    """|m_factor| through the closed-form sine ratio.
-
-    Falls back to the direct sum when the denominator sine is within
-    1e-8 of zero, where the ratio is numerically treacherous but the
-    true value is smooth.
-    """
-    theta = t * x
-    den = abs(math.sin(pi * theta))
-    if den < _SIN_GUARD:
-        return abs(m_factor(N, t, x))
-    return abs(math.sin(pi * N * theta)) / (N * den)
-
-
 def mu_hat_k(sys: MoranSystem, k: int, xi) -> complex:
     """Level-k transform value: product of the first k factors at xi."""
     out = complex(1)
@@ -66,19 +49,6 @@ def mu_hat_k(sys: MoranSystem, k: int, xi) -> complex:
         t = sys.t_entry(j)
         arg = Fraction(xi, B) if exact else xi / B
         out *= m_factor(sys.N, t, arg)
-    return out
-
-
-def mu_hat_grid(sys: MoranSystem, k: int, xs) -> np.ndarray:
-    """Vectorized level-k transform over a float grid."""
-    xs = np.asarray(xs, dtype=float)
-    out = np.ones(xs.shape, dtype=complex)
-    for j in range(1, k + 1):
-        ratio = sys.t_entry(j) / sys.b_product(j)
-        acc = np.zeros(xs.shape, dtype=complex)
-        for d in range(sys.N):
-            acc += np.exp(2j * pi * d * ratio * xs)
-        out *= acc / sys.N
     return out
 
 
@@ -111,6 +81,29 @@ def mu_hat_shifted_grid(sys: MoranSystem, k: int, xs, shift: int) -> np.ndarray:
             acc += np.exp(2j * pi * d * t * theta)
         out *= acc / sys.N
     return out
+
+
+def _residue_product(N: int, factors, p: int, q: int) -> complex:
+    """Product of m_factor(N, t, p/(q*B)) over the integer pairs (t, B)
+    in factors, for integers p and q, with q and every B nonzero.
+
+    Each phase j*t*p/(q*B) is reduced modulo 1 as an integer residue
+    over |q*B|; the one rounding is the correctly rounded quotient of the
+    two integers, so huge arguments lose no precision, and every factor
+    has the bits of m_factor's Fraction path.
+    """
+    turn = 2j * pi
+    value = complex(1)
+    for t, B in factors:
+        den = q * B
+        step = t * p
+        if den < 0:
+            den, step = -den, -step
+        total = 0j
+        for j in range(N):
+            total += cmath.exp(turn * (j * step % den / den))
+        value *= total / N
+    return value
 
 
 def _tail_ratio_sum(sys: MoranSystem, k: int, M: int) -> Fraction:
@@ -184,26 +177,9 @@ class TailKernel:
         return value, self._err_scale * abs(float(xi)) * self._ratio
 
     def exact(self, p: int, q: int):
-        """(value, err) at the rational p/q, for integers p and q != 0.
-
-        Each phase j*t*p/(q*B) is reduced modulo 1 as an integer residue
-        over q*B; the one rounding is the correctly rounded quotient of
-        the two integers, so huge arguments lose no precision.
-        """
-        if q < 0:
-            p, q = -p, -q
-        N = self.N
-        turn = 2j * pi
-        value = complex(1)
-        for t, B in self._factors:
-            den = q * B
-            step = t * p
-            if den < 0:
-                den, step = -den, -step
-            total = 0j
-            for j in range(N):
-                total += cmath.exp(turn * (j * step % den / den))
-            value *= total / N
+        """(value, err) at the rational p/q, for integers p and q != 0,
+        from exact integer residues (_residue_product)."""
+        value = _residue_product(self.N, self._factors, p, q)
         return value, self._err_scale * abs(p / q) * self._ratio
 
 
@@ -282,32 +258,3 @@ def zero_set_member(sys: MoranSystem, xi, horizon: Optional[int] = None) -> Opti
                 if q.denominator == 1 and q.numerator % N != 0:
                     return k
         k += 1
-
-
-@dataclass(frozen=True)
-class TransformEvaluator:
-    """Bundle of a system with a default truncation depth.
-
-    Convenience wrapper for grid exports; the module functions stay the
-    primary interface.
-    """
-
-    sys: MoranSystem
-    depth: int = 16
-
-    def mu_hat(self, k: int, xi) -> complex:
-        return mu_hat_k(self.sys, k, xi)
-
-    def tail(self, k: int, xi, depth: Optional[int] = None):
-        M = self.depth if depth is None else depth
-        return nu_hat_tail(self.sys, k, xi, M)
-
-    def grid_rows(self, k: int, xs, depth: Optional[int] = None):
-        """Rows (xi, |mu_hat_k|, |tail value|, err) for CSV export."""
-        mags = np.abs(mu_hat_grid(self.sys, k, xs))
-        tail = TailKernel(self.sys, k, self.depth if depth is None else depth)
-        rows = []
-        for x, mag in zip(xs, mags):
-            value, err = tail(float(x))
-            rows.append((float(x), float(mag), abs(value), err))
-        return rows

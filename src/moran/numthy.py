@@ -21,9 +21,6 @@ class Valuation(NamedTuple):
     exponent: int
     unit: int
 
-    def value(self, base: int) -> int:
-        return base ** self.exponent * self.unit
-
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -65,19 +62,3 @@ def _valuation_unchecked(a: int, N: int) -> Valuation:
         e += 1
     return Valuation(e, a)
 
-
-def product_valuation(factors, N: int) -> Valuation:
-    """Valuation of a product, computed by additivity without forming it twice.
-
-    Empty input gives (0, 1), the empty product.
-    """
-    check_prime_base(N)
-    e = 0
-    u = 1
-    for a in factors:
-        if a == 0:
-            raise DomainError("valuation of zero undefined")
-        ea, ua = _valuation_unchecked(a, N)
-        e += ea
-        u *= ua
-    return Valuation(e, u)

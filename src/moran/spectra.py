@@ -24,7 +24,7 @@ from .errors import (
     ResourceError,
     UnsupportedCaseError,
 )
-from .fourier import TailKernel, m_factor, mu_hat_shifted_grid
+from .fourier import TailKernel, _residue_product, mu_hat_shifted_grid
 from .numthy import _valuation_unchecked
 from .system import (
     CaseI,
@@ -50,14 +50,13 @@ class SpectrumBuildParams:
     """Tunable thresholds for offset search and certification.
 
     C gates the offset search (certified tail modulus must exceed it), K
-    bounds the offset window, theta0 and sigma0 are neighborhood radii
-    for breakpoint admissibility, epsilon0 is the tail floor demanded of
+    bounds the offset window, sigma0 is the neighborhood radius for
+    breakpoint admissibility, epsilon0 is the tail floor demanded of
     finished levels, and depth is the tail truncation length.
     """
 
     C: float = 1e-3
     K: int = 32
-    theta0: Union[Fraction, float] = Fraction(1, 4)
     sigma0: Union[Fraction, float] = Fraction(1, 4)
     epsilon0: float = 1e-4
     depth: int = 16
@@ -67,10 +66,8 @@ class SpectrumBuildParams:
             raise DomainError("thresholds must be positive")
         if self.K < 1 or self.depth < 1:
             raise DomainError("search window and depth must be >= 1")
-        if self.theta0 <= 0 or self.sigma0 <= 0:
-            raise DomainError("neighborhood radii must be positive")
-        if self.sigma0 > self.theta0:
-            raise DomainError("sigma0 must not exceed theta0")
+        if self.sigma0 <= 0:
+            raise DomainError("the neighborhood radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -465,28 +462,32 @@ def extension_factor_floor(sys: MoranSystem, block: SpectrumBlock) -> float:
         return math.inf
     worst = math.inf
     for i in range(1, alpha + 1):
-        B = sys.b_product(block.k2 + i)
-        t = sys.t_entry(block.k2 + i)
+        factor = ((sys.t_entry(block.k2 + i), sys.b_product(block.k2 + i)),)
         for lam in block.elements:
-            worst = min(worst, abs(m_factor(sys.N, t, Fraction(lam, B))))
+            worst = min(worst, abs(_residue_product(sys.N, factor, lam, 1)))
     return worst
 
 
-def q_grid_check(sys: MoranSystem, lam, k: int, grid, tol: float) -> QGridReport:
-    """Evaluate the completeness functional on a float grid.
+def q_sum(sys: MoranSystem, lam, k: int, xs: np.ndarray) -> np.ndarray:
+    """The completeness functional: sum over lam of |mu_hat_k(x + lam)|^2
+    at every point x of the float array xs.
 
-    Sums the squared transform moduli over lam at every grid point and
-    reports the worst deviation from one. Shifts by the elements go
-    through exact modular reduction per factor, so large elements cost
-    no precision.
+    Shifts by the elements go through exact modular reduction per
+    factor, so large elements cost no precision.
     """
+    total = np.zeros(xs.shape)
+    for lam_i in lam:
+        total += np.abs(mu_hat_shifted_grid(sys, k, xs, lam_i)) ** 2
+    return total
+
+
+def q_grid_check(sys: MoranSystem, lam, k: int, grid, tol: float) -> QGridReport:
+    """Evaluate the completeness functional on a float grid and report
+    the worst deviation from one."""
     xs = np.asarray(list(grid), dtype=float)
     if xs.size == 0:
         raise DomainError("grid must be nonempty")
-    total = np.zeros(xs.shape)
-    for lam_i in lam:
-        total += np.abs(mu_hat_shifted_grid(sys, k, xs, int(lam_i))) ** 2
-    dev = np.abs(total - 1.0)
+    dev = np.abs(q_sum(sys, lam, k, xs) - 1.0)
     i = int(np.argmax(dev))
     return QGridReport(float(dev[i]), float(xs[i]), bool(dev[i] <= tol), float(tol))
 
@@ -541,7 +542,7 @@ def _verify_level(work, level, params):
     )
 
 
-def _drive(work, case, m0, blocks, params, scale_exponent, verify):
+def _drive(work, case, m0, blocks, params, scale_exponent):
     levels = [trivial_level(scale_exponent)]
     for i in range(blocks):
         prev = levels[-1]
@@ -550,9 +551,7 @@ def _drive(work, case, m0, blocks, params, scale_exponent, verify):
         else:
             k_next = _next_breakpoint(work, case, prev, m0, params)
         level = build_level(work, prev, prev.breakpoints[-1], k_next, case, params)
-        if verify:
-            level = _verify_level(work, level, params)
-        levels.append(level)
+        levels.append(_verify_level(work, level, params))
     return tuple(levels[1:])
 
 
@@ -590,38 +589,5 @@ def build_spectrum(sys: MoranSystem, n: int, params: Optional[SpectrumBuildParam
     if isinstance(case, Undetermined):
         raise HorizonError(f"cannot classify the system: {case.reason}")
     plan = n if isinstance(case, CaseI) else n + 1
-    return _drive(work, case, m0, plan, params, m_extra, verify=True)
+    return _drive(work, case, m0, plan, params, m_extra)
 
-
-def choose_breakpoints(sys: MoranSystem, case_info, n: int, params: Optional[SpectrumBuildParams] = None):
-    """Greedy block ends for n levels, discarding the built levels.
-
-    The scan mirrors build_spectrum exactly, offsets included, because
-    admissibility of each next end depends on the previous level's actual
-    elements.
-    """
-    params = params or SpectrumBuildParams()
-    if n < 1:
-        raise DomainError("need at least one level")
-    if isinstance(case_info, Undetermined):
-        raise HorizonError(f"cannot place block ends: {case_info.reason}")
-    work, _, m0 = _admission(sys)
-    plan = n if isinstance(case_info, CaseI) else n + 1
-    levels = _drive(work, case_info, m0, plan, params, 0, verify=False)
-    return levels[-1].breakpoints[1:]
-
-
-def calibrate_radius(sys: MoranSystem, k: int, params: Optional[SpectrumBuildParams] = None, span: float = 2.0, step: float = 1e-3) -> float:
-    """Measured modulus of continuity of the truncated tail over [0, span].
-
-    Diagnostic for choosing neighborhood radii: reports the largest
-    step-to-step change of the truncated tail modulus on the grid.
-    """
-    params = params or SpectrumBuildParams()
-    xs = np.arange(0.0, span + step, step)
-    vals = np.empty(xs.size)
-    tail = TailKernel(sys, k, params.depth)
-    for i, x in enumerate(xs):
-        value, _ = tail(float(x))
-        vals[i] = abs(value)
-    return float(np.max(np.abs(np.diff(vals))))

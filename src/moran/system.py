@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
     UnsupportedCaseError,
 )
-from .numthy import Valuation, _valuation_unchecked, check_prime_base
+from .numthy import _valuation_unchecked, check_prime_base
 
 _PREFIX_CERT_MARGIN = 12
 
@@ -75,9 +75,6 @@ class SequenceSpec:
                 f"index {k} beyond finite prefix horizon {len(self.preperiod)}"
             )
         return self.period[(k - len(self.preperiod) - 1) % len(self.period)]
-
-    def entries(self, upto: int) -> list:
-        return [self.entry(k) for k in range(1, upto + 1)]
 
     def all_values(self) -> tuple:
         return self.preperiod + self.period
@@ -162,7 +159,6 @@ class SSkeleton:
         self._s = [None]
         self._b_free = [None]
         self._t_free = [None]
-        self._t_tau = [None]
         self._head_max = [None]
         if sys.is_periodic:
             self.P = max(len(sys.b.preperiod), len(sys.t.preperiod))
@@ -196,7 +192,6 @@ class SSkeleton:
             self._s.append(s_i)
             self._b_free.append(ub)
             self._t_free.append(ut)
-            self._t_tau.append(et)
             prev = self._head_max[-1]
             self._head_max.append(s_i if prev is None else max(prev, s_i))
 
@@ -228,10 +223,6 @@ class SSkeleton:
         self._extend(k)
         return self._t_free[k]
 
-    def t_tau(self, k: int) -> int:
-        self._extend(k)
-        return self._t_tau[k]
-
     def head_max(self, k: int) -> int:
         """max of s_1..s_k."""
         self._extend(k)
@@ -241,9 +232,14 @@ class SSkeleton:
         """The first pair (i, j), i < j <= n, with s_i = s_j, or None.
 
         Pairs are ordered by j, so the scan reads s no further than the
-        first repeat. This is the one distinctness scan: the tiling
-        decision, its complement and distinctness_check all use it.
+        first repeat. A periodic scan also stops at cert_window(): by the
+        drift argument of distinctness_check the first repeat, if there
+        is one, lies inside that window, so a huge n costs nothing more.
+        This is the one distinctness scan: the tiling decision, its
+        complement and distinctness_check all use it.
         """
+        if self.is_periodic:
+            n = min(n, self.cert_window())
         first_seen = {}
         for j in range(1, n + 1):
             v = self.s(j)
@@ -501,25 +497,18 @@ def frak_n(sys: MoranSystem, k: int, margin: Optional[int] = None) -> int:
     return best
 
 
-def alpha_bound(sys: MoranSystem, window: int) -> int:
-    """max of frak_n(k) - k over k <= window.
-
-    For periodic specs with positive drift the quantity is constant on each
-    residue class past the preperiod (the whole comparison picture shifts by
-    one period), so any window covering preperiod + two periods yields the
-    true supremum.
-    """
-    if window < 1:
-        raise DomainError("window must be >= 1")
-    return max(frak_n(sys, k) - k for k in range(1, window + 1))
-
-
 def alpha_true(sys: MoranSystem) -> int:
-    """The true sup of frak_n(k) - k for a periodic rule (certified window)."""
-    sk = sys.skeleton
+    """The true sup of frak_n(k) - k for a periodic rule.
+
+    With positive drift the quantity is constant on each residue class
+    past the preperiod (the whole comparison picture shifts by one
+    period), so the maximum over preperiod + two periods is the true
+    supremum.
+    """
     if not sys.is_periodic:
         raise HorizonError("true alpha requires a periodic scale rule")
-    return alpha_bound(sys, sk.P + 2 * sk.p)
+    sk = sys.skeleton
+    return max(frak_n(sys, k) - k for k in range(1, sk.P + 2 * sk.p + 1))
 
 
 def existence_check(
@@ -571,52 +560,6 @@ def existence_check(
     G = sum((term(k) for k in range(J, J + p)), Fraction(0))
     tail = head + G * Fraction(abs(Bp), abs(Bp) - 1)
     return Converges(partial, tail, depth)
-
-
-def jessen_wintner_series(
-    N_spec: SequenceSpec,
-    t_spec: SequenceSpec,
-    b_spec: SequenceSpec,
-    k_max: int,
-    r=1,
-):
-    """Partial sums of the three convergence-test series for the component
-    measures omega_k = uniform measure on D_k/(b_1...b_k), truncated to the
-    ball of radius r.
-
-    Returns exact rationals (S1, S2, S3): total mass outside the ball, mean
-    of the truncated measure, and its variance. Positive entries only; the
-    k-th atoms are d*t_k/(b_1..b_k) for d = 0..N_k-1 with mass 1/N_k, and
-    the closed forms below are the arithmetic-series sums over the atoms
-    that stay inside the ball.
-    """
-    if k_max < 0:
-        raise DomainError("k_max must be >= 0")
-    r = Fraction(r)
-    if r <= 0:
-        raise DomainError("ball radius must be positive")
-    S1 = Fraction(0)
-    S2 = Fraction(0)
-    S3 = Fraction(0)
-    B = 1
-    for k in range(1, k_max + 1):
-        Nk = N_spec.entry(k)
-        tk = t_spec.entry(k)
-        bk = b_spec.entry(k)
-        if Nk < 2 or tk < 1 or bk < 2:
-            raise UnsupportedCaseError(
-                f"signed or degenerate entries unsupported at k={k}: "
-                f"N={Nk}, t={tk}, b={bk}"
-            )
-        B *= bk
-        cutoff = r * Fraction(B, tk)
-        f = min(Nk - 1, cutoff.numerator // cutoff.denominator)
-        S1 += Fraction(Nk - 1 - f, Nk)
-        c = Fraction(tk, B) * Fraction(f * (f + 1), 2) / Nk
-        S2 += c
-        x2 = Fraction(tk * tk, B * B) * Fraction(f * (f + 1) * (2 * f + 1), 6) / Nk
-        S3 += x2 - c * c
-    return (S1, S2, S3)
 
 
 def normalize(sys: MoranSystem):

@@ -67,11 +67,13 @@ def aggregate(sys: MoranSystem, k: int, element_cap: int = ELEMENT_CAP) -> Aggre
     """Expand the first k digit sets into one set of integers.
 
     The expansion has N^k formal sums, so a cap guards against runaway
-    growth before anything is allocated.
+    growth before anything is allocated. Since N >= 2, N^k is over the
+    cap once k reaches its bit length, so a huge k is refused before
+    N^k is computed.
     """
     if k < 1:
         raise PreconditionError("aggregate requires k >= 1")
-    if sys.N**k > element_cap:
+    if k >= element_cap.bit_length() or sys.N**k > element_cap:
         raise ResourceError(
             f"level {k} expansion has {sys.N}^{k} formal sums, over the cap {element_cap}"
         )

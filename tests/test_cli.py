@@ -1,9 +1,11 @@
 """End-to-end command line behavior: reports, certificates, exit codes."""
 
 import json
+import tracemalloc
 
 import pytest
 
+import moran
 from moran.cli import main
 
 EX1 = "N = 2\nb.period = 18\nt.period = 1 4\n"
@@ -11,6 +13,7 @@ EX2 = "N = 2\nb.period = 18\nt.period = 1 16\n"
 TILE_ONLY = "N = 3\nb.period = 3\nt.preperiod = 1\nt.period = 4\n"
 COLLIDER = "N = 2\nb.period = 2 6\nt.period = 1 2\n"
 QUARTER = "N = 2\nb.period = 4\nt.period = 1\n"
+TERNARY = "N = 3\nb.period = 9\nt.period = 1 4\n"
 
 
 @pytest.fixture
@@ -63,6 +66,13 @@ def test_missing_config_exits_three(capsys, tmp_path):
     code, _, err = run(capsys, ["analyze", str(tmp_path / "absent.conf")])
     assert code == 3
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("line", ["option.theta0 = 1/3", "option.tol = 1e-9", "option.out = x.json"])
+def test_unread_options_are_unknown(conf, capsys, line):
+    code, _, err = run(capsys, ["analyze", conf(EX1 + line + "\n")])
+    assert code == 3
+    assert "unknown option" in err
 
 
 def test_usage_error_exits_three(conf, capsys):
@@ -159,6 +169,7 @@ def test_verify_rejects_verification_records(conf, capsys, tmp_path):
 
 SPECTRUM_CERT = (EX1, ["spectrum", "--levels", "1"])
 TILE_CERT = (QUARTER, ["tile", "--k", "3"])
+TERNARY_TILE_CERT = (TERNARY, ["tile", "--k", "3"])
 
 
 def _float_digit(payload):
@@ -176,6 +187,7 @@ def _float_digit(payload):
         (TILE_CERT, _float_digit, 3, "'digit_elements' must be a list of integers"),
         (TILE_CERT, lambda p: p.update(k="3"), 3, "'k' must be an integer"),
         (TILE_CERT, lambda p: p.update(complement_elements=[], modulus=0), 3, "modulus of at least 1"),
+        (TERNARY_TILE_CERT, lambda p: p.update(k=10**7), 2, "limit:"),
     ],
     ids=[
         "empty",
@@ -185,6 +197,7 @@ def _float_digit(payload):
         "tile-float-digit",
         "tile-string-k",
         "tile-empty-complement",
+        "tile-huge-k",
     ],
 )
 def test_verify_rejects_hollow_or_malformed_levels(conf, capsys, tmp_path, source, mutate, code, message):
@@ -210,6 +223,21 @@ def test_tile_over_the_cover_cap_is_a_limit(conf, capsys):
     assert code == 2
     assert err.startswith("limit:")
     assert "94143178827" in err
+
+
+def test_tile_huge_k_is_a_limit_in_little_memory(conf, capsys):
+    # the distinctness scan stops at the certification window, so the
+    # cap refuses before the skeleton holds 30,000 prefix products
+    cfg = conf(QUARTER)
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, ["tile", cfg, "--k", "30000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert err.startswith("limit:")
+    assert peak < 16 * 2**20
 
 
 def test_spectrum_refusal_names_the_inequality(conf, capsys):
@@ -273,6 +301,10 @@ def test_csv_output_is_deterministic(conf, capsys, tmp_path):
     run(capsys, args + ["--out", str(a)])
     run(capsys, args + ["--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_every_export_resolves():
+    assert [name for name in moran.__all__ if not hasattr(moran, name)] == []
 
 
 def test_version_flag(capsys):

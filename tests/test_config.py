@@ -83,17 +83,13 @@ def test_option_typing():
         "option.element_cap = 4096\n"
         "option.C = 1e-3\n"
         "option.sigma0 = 0.25\n"
-        "option.theta0 = 1/3\n"
         "option.grid = 0:1:100\n"
-        "option.out = /tmp/somewhere.json\n"
     )
     cfg = parse_config_text(text)
     assert cfg.options["element_cap"] == 4096
     assert cfg.options["C"] == 1e-3
     assert cfg.options["sigma0"] == Fraction(1, 4)
-    assert cfg.options["theta0"] == Fraction(1, 3)
     assert cfg.options["grid"] == (0.0, 1.0, 100)
-    assert cfg.options["out"] == "/tmp/somewhere.json"
 
 
 def test_grid_validation():

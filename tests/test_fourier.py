@@ -18,11 +18,8 @@ from hypothesis import strategies as st
 from moran.errors import HorizonError, UnsupportedCaseError
 from moran.fourier import (
     TailKernel,
-    TransformEvaluator,
     _tail_ratio_sum,
     m_factor,
-    m_factor_magnitude,
-    mu_hat_grid,
     mu_hat_k,
     mu_hat_shifted_grid,
     nu_hat_tail,
@@ -136,34 +133,6 @@ def test_m_factor_rational_matches_float_path(num, den, N, t):
     assert abs(exact - direct) < 1e-9
 
 
-def test_m_factor_magnitude_matches_direct_sum():
-    rng = random.Random(7)
-    checked = 0
-    while checked < 10_000:
-        N = rng.choice([2, 3, 5])
-        t = rng.randint(1, 9)
-        x = rng.uniform(-2, 2)
-        if abs(math.sin(pi * t * x)) < 1e-3:
-            continue
-        assert abs(m_factor_magnitude(N, t, x) - abs(ref_m(N, t, x))) < 1e-9
-        checked += 1
-
-
-def test_m_factor_magnitude_guard_falls_back():
-    # t*x lands on an integer up to rounding, where the sine ratio blows up
-    assert m_factor_magnitude(2, 3, 1 / 3) == pytest.approx(1, abs=1e-9)
-    assert m_factor_magnitude(5, 1, 1e-13) == pytest.approx(1, abs=1e-9)
-
-
-@given(
-    st.floats(min_value=-50, max_value=50, allow_nan=False),
-    st.sampled_from([2, 3, 5]),
-    st.integers(min_value=1, max_value=9),
-)
-def test_m_factor_magnitude_bounded_by_one(x, N, t):
-    assert m_factor_magnitude(N, t, x) <= 1 + 1e-12
-
-
 def test_factor_shift_periodicity_is_exact():
     """Shifting the frequency by the full scale product leaves a factor unchanged."""
     sys = example_1()
@@ -193,7 +162,7 @@ def test_mu_hat_vanishes_on_known_zeros():
 def test_mu_hat_grid_matches_scalar_eval():
     sys = example_1()
     xs = [(-3 + 6 * i / 100) for i in range(101)]
-    grid = mu_hat_grid(sys, 3, xs)
+    grid = mu_hat_shifted_grid(sys, 3, xs, 0)
     for x, value in zip(xs, grid):
         assert abs(value - mu_hat_k(sys, 3, float(x))) < 1e-12
 
@@ -402,22 +371,6 @@ def test_membership_forces_transform_zero():
         assert abs(mu_hat_k(ex1n, k, 36)) > 1e-10
 
 
-# -- evaluator bundle ------------------------------------------------------
-
-
-def test_evaluator_grid_rows_are_consistent():
-    ev = TransformEvaluator(example_1(normalized=True), depth=6)
-    xs = [0.0, 0.5, 1.0]
-    rows = ev.grid_rows(2, xs)
-    assert [r[0] for r in rows] == xs
-    for x, row in zip(xs, rows):
-        assert row[1] == pytest.approx(abs(mu_hat_k(ev.sys, 2, x)), abs=1e-12)
-        assert row[3] >= 0
-    assert rows[0][3] == 0.0
-    shallow = ev.grid_rows(2, [1.0], depth=2)
-    assert shallow[0][3] > rows[2][3]
-
-
 # -- integer-shift grid ----------------------------------------------------
 
 
@@ -426,7 +379,7 @@ def test_shifted_grid_matches_plain_grid_for_small_shifts():
     xs = [0.0, 0.125, 0.7, 0.99]
     for shift in (0, 3, -7, 243):
         got = mu_hat_shifted_grid(ex1n, 3, xs, shift)
-        want = mu_hat_grid(ex1n, 3, [x + shift for x in xs])
+        want = [mu_hat_k(ex1n, 3, x + shift) for x in xs]
         assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
 
 

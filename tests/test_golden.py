@@ -1,16 +1,22 @@
 """Byte-for-byte goldens: certificates and CSV written through the CLI.
 
-The spectrum and CSV digests were taken from the pairwise orthogonality
-scan and the per-call Fraction tail loop, the tile digests from the
-Counter-based expansion and the per-cell exact-cover loop. Any faster or
-refactored path has to write the very same bytes.
+The spectrum and nu_tail digests were taken from the pairwise
+orthogonality scan and the per-call Fraction tail loop, the tile digests
+from the Counter-based expansion and the per-cell exact-cover loop, and
+the Q digest from the Q sum written out in the plot command. Any faster
+or refactored path has to write the very same bytes. The mu_hat digest
+was taken from the shifted grid at shift 0; its rows are checked against
+the exact rational evaluation below.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
 from moran.cli import main
+from moran.config import parse_config_text
+from moran.fourier import mu_hat_k
 
 EX1 = "N = 2\nb.period = 18\nt.period = 1 4\n"
 EX2 = "N = 2\nb.period = 18\nt.period = 1 16\n"
@@ -35,6 +41,16 @@ GOLDEN = [
     ),
     (
         EX1,
+        ["plot-data", "--what", "Q", "--levels", "3", "--grid", "0.25:1.25:400"],
+        "bf638fd0d7bf39fcb7f34bb645972fda7078a775f689e8beea46895bf3a1c441",
+    ),
+    (
+        EX1,
+        ["plot-data", "--what", "mu_hat", "--k", "6", "--grid", "0.25:40.25:400"],
+        "4ff4cbe3a3045275c41d9de22b48afc5a34e55488e0c7aca7aacea7415163e80",
+    ),
+    (
+        EX1,
         ["tile", "--k", "12"],
         "95fbb484cc97f25191929b3f99562734e51c6946fb391e0d71eb799c731cef2a",
     ),
@@ -54,7 +70,16 @@ GOLDEN = [
 @pytest.mark.parametrize(
     "text,argv,digest",
     GOLDEN,
-    ids=["recurrent", "persistent", "nu-tail", "tile-alternating", "tile-quarter", "tile-ternary"],
+    ids=[
+        "recurrent",
+        "persistent",
+        "nu-tail",
+        "q",
+        "mu-hat",
+        "tile-alternating",
+        "tile-quarter",
+        "tile-ternary",
+    ],
 )
 def test_output_bytes_are_pinned(tmp_path, capsys, text, argv, digest):
     config = tmp_path / "system.conf"
@@ -64,3 +89,17 @@ def test_output_bytes_are_pinned(tmp_path, capsys, text, argv, digest):
     assert main([command, str(config), *options, "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("text", [EX1, EX2, QUARTER, TERNARY], ids=["ex1", "ex2", "quarter", "ternary"])
+def test_mu_hat_rows_match_the_exact_transform(tmp_path, capsys, text):
+    config = tmp_path / "system.conf"
+    config.write_text(text)
+    out = tmp_path / "mu_hat.csv"
+    argv = ["plot-data", str(config), "--what", "mu_hat", "--k", "6", "--grid", "0.25:40.25:400"]
+    assert main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    system = parse_config_text(text).system()
+    for line in out.read_text().splitlines()[1:]:
+        x, value = map(float, line.split(","))
+        assert abs(value - abs(mu_hat_k(system, 6, Fraction(x)))) <= 1e-14

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from moran.errors import DomainError
-from moran.numthy import ExactRational, Valuation, product_valuation, valuation
+from moran.numthy import ExactRational, valuation
 
 
 @pytest.mark.parametrize(
@@ -23,23 +23,9 @@ def test_valuation_examples(a, N, expected):
     assert valuation(a, N) == expected
 
 
-@pytest.mark.parametrize(
-    "factors,N,expected",
-    [
-        ([18, 18, 18], 2, (3, 729)),
-        ([], 2, (0, 1)),
-        ([36, 18], 2, (3, 81)),
-    ],
-)
-def test_product_valuation_examples(factors, N, expected):
-    assert product_valuation(factors, N) == expected
-
-
 def test_zero_rejected():
     with pytest.raises(DomainError):
         valuation(0, 2)
-    with pytest.raises(DomainError):
-        product_valuation([4, 0], 2)
 
 
 def test_nonprime_base_rejected():
@@ -63,14 +49,6 @@ def test_valuation_reconstruction(a, N):
     assert N**e * u == a
     assert u % N != 0
     assert (u > 0) == (a > 0)
-
-
-@given(st.lists(nonzero, max_size=8), primes)
-def test_product_valuation_matches_direct(factors, N):
-    prod = 1
-    for f in factors:
-        prod *= f
-    assert product_valuation(factors, N) == valuation(prod, N) if factors else Valuation(0, 1)
 
 
 def test_exact_rational_is_exact():

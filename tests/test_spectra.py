@@ -33,8 +33,6 @@ from moran.spectra import (
     build_block,
     build_level,
     build_spectrum,
-    calibrate_radius,
-    choose_breakpoints,
     extension_factor_floor,
     offset_search,
     omega_split,
@@ -144,7 +142,7 @@ def test_params_validation():
     with pytest.raises(DomainError):
         SpectrumBuildParams(C=0)
     with pytest.raises(DomainError):
-        SpectrumBuildParams(sigma0=Fraction(1, 2), theta0=Fraction(1, 4))
+        SpectrumBuildParams(sigma0=0)
     with pytest.raises(DomainError):
         SpectrumBuildParams(K=0)
     with pytest.raises(DomainError):
@@ -506,19 +504,20 @@ def test_every_built_level_verifies_exactly():
         assert verify_spectrum_finite(ex2n, lv.elements, lv.breakpoints[-1])
 
 
-def test_choose_breakpoints_matches_driver():
-    ex1n = example_1(normalized=True)
-    assert choose_breakpoints(example_1(), case_classify(ex1n), 3) == (2, 4, 6)
-    ex2n = example_2(normalized=True)
-    assert choose_breakpoints(example_2(), case_classify(ex2n), 2) == (1, 4, 7)
-
-
 def test_tight_radius_defers_breakpoints():
-    params = SpectrumBuildParams(
-        theta0=Fraction(1, 10**6), sigma0=Fraction(1, 10**6)
-    )
+    params = SpectrumBuildParams(sigma0=Fraction(1, 10**6))
     levels = build_spectrum(example_1(), 2, params)
     assert levels[-1].breakpoints == (0, 2, 8)
+
+
+def test_wide_radius_still_certifies():
+    # sigma0 has no upper limit: a radius of 100 admits every block end
+    ex2n = example_2(normalized=True)
+    levels = build_spectrum(example_2(), 2, SpectrumBuildParams(sigma0=100))
+    assert levels[-1].breakpoints == (0, 1, 2, 3)
+    for lv in levels:
+        assert lv.orthogonal and lv.complete
+        assert verify_spectrum_finite(ex2n, lv.elements, lv.breakpoints[-1])
 
 
 def test_breakpoint_pool_exhaustion_is_horizon_error():
@@ -564,7 +563,3 @@ def test_block_sums_keep_minimal_level_structure():
             assert r == 0
             assert q % 2 != 0
 
-
-def test_calibrate_radius_reports_small_steps():
-    r = calibrate_radius(quarter_system(), 0, span=0.5)
-    assert 1e-5 < r < 5e-3

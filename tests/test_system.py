@@ -10,6 +10,8 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from moran.errors import (
     DomainError,
@@ -30,7 +32,7 @@ from moran.system import (
     Undetermined,
     Unknown,
     Violated,
-    alpha_bound,
+    alpha_true,
     bold_b,
     case_classify,
     default_window,
@@ -38,7 +40,6 @@ from moran.system import (
     existence_check,
     frak_n,
     hypothesis_holds_from,
-    jessen_wintner_series,
     normalize,
     s_value,
     spectral_hypothesis_check,
@@ -65,6 +66,19 @@ def ref_s(sys, k):
 def ref_frak_n(sys, k, scan=400):
     js = [j for j in range(k, scan) if ref_s(sys, j) <= ref_s(sys, k)]
     return max(js)
+
+
+def ref_first_repeat(sys, k):
+    # plain scan of s_1..s_k, with s built from running valuations
+    tau_b = 0
+    first_seen = {}
+    for j in range(1, k + 1):
+        tau_b += ref_tau(sys.b.entry(j), sys.N)
+        v = tau_b - ref_tau(sys.t.entry(j), sys.N) - 1
+        if v in first_seen:
+            return first_seen[v], j
+        first_seen[v] = j
+    return None
 
 
 # -- fixtures --------------------------------------------------------------
@@ -186,9 +200,9 @@ def test_frak_n_prefix_insufficient_horizon():
 
 
 def test_alpha_bound_golden():
-    assert alpha_bound(example_1(normalized=True), 20) == 1
-    assert alpha_bound(example_2(normalized=True), 20) == 3
-    assert alpha_bound(example_tile_only(), 10) == 0
+    assert alpha_true(example_1(normalized=True)) == 1
+    assert alpha_true(example_2(normalized=True)) == 3
+    assert alpha_true(example_tile_only()) == 0
 
 
 # -- distinctness ----------------------------------------------------------
@@ -232,6 +246,24 @@ def test_distinctness_agrees_with_pairwise_scan():
             assert brute == (res.i, res.j)
         else:
             assert brute is None
+
+
+@given(data=st.data())
+def test_first_repeat_past_the_window_matches_the_full_scan(data):
+    # a periodic scan stops at the certification window; up to three
+    # windows out it must still give the full scan's verdict and pair
+    N = data.draw(st.sampled_from([2, 3]))
+    b = SequenceSpec.periodic(
+        data.draw(st.lists(st.sampled_from([2, 3, 4, 6, 9, 12, 18, 27]), min_size=1, max_size=3)),
+        preperiod=data.draw(st.lists(st.sampled_from([2, 4, 6, 9]), max_size=2)),
+    )
+    t = SequenceSpec.periodic(
+        data.draw(st.lists(st.integers(1, 18), min_size=1, max_size=3)),
+        preperiod=data.draw(st.lists(st.integers(1, 18), max_size=2)),
+    )
+    sys = MoranSystem(N, b, t)
+    k = data.draw(st.integers(1, 3 * sys.skeleton.cert_window()))
+    assert sys.skeleton.first_repeat(k) == ref_first_repeat(sys, k)
 
 
 # -- case classification ---------------------------------------------------
@@ -314,82 +346,6 @@ def test_existence_diverges_without_decay():
         depth=4,
     )
     assert isinstance(res, Diverges)
-
-
-# -- three-series diagnostic ----------------------------------------------
-
-
-def ref_component_measure(Nk, tk, B, r=Fraction(1)):
-    """Atoms of delta_{D_k / B} with the outside-the-ball mass relocated to 0."""
-    atoms = [Fraction(d * tk, B) for d in range(Nk)]
-    inside = [a for a in atoms if abs(a) <= r]
-    outside_mass = Fraction(len(atoms) - len(inside), Nk)
-    mean = sum(inside, Fraction(0)) / Nk
-    second = sum((a * a for a in inside), Fraction(0)) / Nk
-    return outside_mass, mean, second - mean * mean
-
-
-@pytest.mark.parametrize(
-    "N,t,b,k_max",
-    [(2, [1], [4], 3), (2, [1], [2], 1), (5, [1], [2], 4), (3, [2, 7], [6, 3], 5)],
-)
-def test_jessen_wintner_matches_atom_enumeration(N, t, b, k_max):
-    N_s = SequenceSpec.periodic([N])
-    t_s = SequenceSpec.periodic(t)
-    b_s = SequenceSpec.periodic(b)
-    S1, S2, S3 = jessen_wintner_series(N_s, t_s, b_s, k_max)
-    e1 = e2 = e3 = Fraction(0)
-    B = 1
-    for k in range(1, k_max + 1):
-        B *= b_s.entry(k)
-        o, c, v = ref_component_measure(N, t_s.entry(k), B)
-        e1 += o
-        e2 += c
-        e3 += v
-    assert (S1, S2, S3) == (e1, e2, e3)
-
-
-def test_jessen_wintner_golden():
-    S1, S2, S3 = jessen_wintner_series(
-        SequenceSpec.periodic([2]),
-        SequenceSpec.periodic([1]),
-        SequenceSpec.periodic([4]),
-        3,
-    )
-    assert S1 == 0
-    assert S2 == Fraction(21, 128)
-    assert jessen_wintner_series(
-        SequenceSpec.periodic([2]),
-        SequenceSpec.periodic([1]),
-        SequenceSpec.periodic([4]),
-        0,
-    ) == (0, 0, 0)
-    # truncation branch: N=2, b=2 keeps both atoms inside the unit ball at k=1
-    S1b, _, _ = jessen_wintner_series(
-        SequenceSpec.periodic([2]),
-        SequenceSpec.periodic([1]),
-        SequenceSpec.periodic([2]),
-        1,
-    )
-    assert S1b == 0
-    # a genuinely truncated case: N=5, b=2, t=1 drops atoms 3/2 and 2 at k=1
-    S1c, _, _ = jessen_wintner_series(
-        SequenceSpec.periodic([5]),
-        SequenceSpec.periodic([1]),
-        SequenceSpec.periodic([2]),
-        1,
-    )
-    assert S1c == Fraction(2, 5)
-
-
-def test_jessen_wintner_rejects_signed():
-    with pytest.raises(UnsupportedCaseError):
-        jessen_wintner_series(
-            SequenceSpec.periodic([2]),
-            SequenceSpec.periodic([-1]),
-            SequenceSpec.periodic([4]),
-            2,
-        )
 
 
 # -- normalize -------------------------------------------------------------

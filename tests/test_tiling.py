@@ -6,6 +6,7 @@ round trip runs on randomized systems.
 """
 
 import random
+import time
 import tracemalloc
 from collections import Counter
 from itertools import product as iter_product
@@ -120,6 +121,15 @@ def test_aggregate_resource_cap():
         aggregate(prefix_system(2, [4, 4], [1, 2]), 2, element_cap=3)
     with pytest.raises(PreconditionError):
         aggregate(prefix_system(2, [4], [1]), 0)
+
+
+def test_aggregate_refuses_a_huge_level_at_once():
+    # 3^(10^7) is never formed: k past the cap's bit length is refused first
+    sys = MoranSystem(3, SequenceSpec.periodic([9]), SequenceSpec.periodic([1, 4]))
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="over the cap"):
+        aggregate(sys, 10**7)
+    assert time.perf_counter() - start < 0.5
 
 
 # -- tile_predicate --------------------------------------------------------
