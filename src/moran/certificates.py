@@ -10,6 +10,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional
 
 from . import __version__
@@ -20,7 +21,7 @@ from .spectra import (
     verify_tail_lower_bound,
 )
 from .system import MoranSystem, normalize
-from .tiling import aggregate, verify_tiling
+from .tiling import ELEMENT_CAP, aggregate, verify_tiling
 
 KINDS = ("tile", "spectrum-level", "verification")
 
@@ -127,8 +128,37 @@ def verification_certificate(fingerprint: str, source_kind: str, report) -> dict
     }
 
 
+_RUN = 2**14  # integers per join, so a run's text is a small temporary
+
+
+def _pieces(value, pad: str):
+    """json.dumps(value, sort_keys=True, indent=2, allow_nan=False) in pieces, for a
+    value on a line indented by pad. Keys are strings, as in every certificate."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        yield json.dumps(value, allow_nan=False)
+        return
+    inner = pad + "  "
+    comma = ",\n" + inner
+    if isinstance(value, dict):
+        for n, key in enumerate(sorted(value)):
+            yield (comma if n else "{\n" + inner) + json.dumps(key) + ": "
+            yield from _pieces(value[key], inner)
+        yield "\n" + pad + "}"
+        return
+    if set(map(type, value)) == {int}:  # type(), as a bool is written true or false
+        for at in range(0, len(value), _RUN):
+            yield (comma if at else "[\n" + inner) + comma.join(map(str, value[at : at + _RUN]))
+    else:
+        for n, item in enumerate(value):
+            yield comma if n else "[\n" + inner
+            yield from _pieces(item, inner)
+    yield "\n" + pad + "]"
+
+
 def dumps(cert: dict) -> str:
-    return json.dumps(cert, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """json.dumps(cert, sort_keys=True, indent=2, allow_nan=False) and a newline,
+    written directly: any indent sends json to its pure-Python encoder."""
+    return "".join([*_pieces(cert, ""), "\n"])
 
 
 def loads(text: str) -> dict:
@@ -162,10 +192,9 @@ def _check_tile(payload, sys: MoranSystem, checks):
     agg = aggregate(sys, k)
     stated = tuple(payload["digit_elements"])
     match = stated == agg.elements
-    detail = None
-    if not match:
-        extra = sorted(set(stated).symmetric_difference(agg.elements))
-        detail = f"first differing element {extra[0]}"
+    # a permutation or a repeat may differ only in position
+    pairs = enumerate(zip_longest(stated, agg.elements))
+    detail = None if match else f"first difference at index {next(i for i, (a, b) in pairs if a != b)}"
     checks.append(("digit-set", match, detail))
     checks.append(
         (
@@ -181,13 +210,12 @@ def _check_tile(payload, sys: MoranSystem, checks):
             f"recomputed {agg.modulus}",
         )
     )
-    checks.append(
-        (
-            "complement-tiles",
-            verify_tiling(stated, tuple(payload["complement_elements"]), payload["modulus"]),
-            None,
-        )
-    )
+    checks.append(("exponents", tuple(payload["exponents"]) == agg.exponents, f"recomputed {list(agg.exponents)}"))
+    complement = tuple(payload["complement_elements"])
+    cells = len(stated) * len(complement)
+    tiles = cells == payload["modulus"] and verify_tiling(stated, complement, payload["modulus"])
+    detail = None if cells == payload["modulus"] else f"|D| * |L| = {cells}, not the modulus"
+    checks.append(("complement-tiles", tiles, detail))
 
 
 def _is_int(value) -> bool:
@@ -213,7 +241,7 @@ def _tile_payload(payload) -> dict:
     return payload
 
 
-def _spectrum_levels(payload) -> list:
+def _spectrum_levels(payload, N: int) -> list:
     """The payload's level records, after checking every field the replay
     reads; a malformed record is a parse error, not a failed check."""
     for key in ("scale_exponent", "denominator"):
@@ -231,6 +259,8 @@ def _spectrum_levels(payload) -> list:
         bps = _int_list(record, "breakpoints", where)
         if not bps or bps[0] != 0 or any(a >= b for a, b in zip(bps, bps[1:])):
             raise ParseError(f"{where}: 'breakpoints' must start at 0 and strictly increase")
+        if bps[-1] >= ELEMENT_CAP.bit_length() or N ** bps[-1] > ELEMENT_CAP:
+            raise ParseError(f"{where}: level size {N}^{bps[-1]} is over the cap {ELEMENT_CAP}")
         _int_list(record, "elements", where)
         if not isinstance(record.get("denormalized"), list):
             raise ParseError(f"{where}: 'denormalized' must be a list")
@@ -241,7 +271,7 @@ def _spectrum_levels(payload) -> list:
 
 
 def _check_spectrum(payload, sys: MoranSystem, checks, params, tol):
-    levels = _spectrum_levels(payload)
+    levels = _spectrum_levels(payload, sys.N)
     work, m = normalize(sys)
     checks.append(
         ("scale-exponent", m == payload["scale_exponent"], f"recomputed {m}")

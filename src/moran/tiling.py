@@ -10,7 +10,7 @@ decision procedure.
 
 import operator
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -63,13 +63,24 @@ def _alpha_exponents(sys: MoranSystem, k: int) -> tuple:
     return tuple(top - sk.s(i) for i in range(1, k + 1))
 
 
+def _expand(sys: MoranSystem, first: int, last: int, scale: int = 1) -> list:
+    """Every sum of digit_i * t_i * b_{i+1} ... b_last * scale over levels first..last."""
+    sums = [0]
+    for i in range(first, last + 1):
+        b_i = sys.b_entry(i)
+        steps = [d * sys.t_entry(i) * scale for d in range(sys.N)]
+        sums = [base * b_i + step for base in sums for step in steps]
+    return sums
+
+
 def aggregate(sys: MoranSystem, k: int, element_cap: int = ELEMENT_CAP) -> AggregateDigitSet:
     """Expand the first k digit sets into one set of integers.
 
     The expansion has N^k formal sums, so a cap guards against runaway
     growth before anything is allocated. Since N >= 2, N^k is over the
     cap once k reaches its bit length, so a huge k is refused before
-    N^k is computed.
+    N^k is computed. Split at h = k // 2, each sum is one of levels 1..h times
+    b_{h+1} ... b_k plus one of levels h+1..k: one addition, not k multiply-adds.
     """
     if k < 1:
         raise PreconditionError("aggregate requires k >= 1")
@@ -77,15 +88,14 @@ def aggregate(sys: MoranSystem, k: int, element_cap: int = ELEMENT_CAP) -> Aggre
         raise ResourceError(
             f"level {k} expansion has {sys.N}^{k} formal sums, over the cap {element_cap}"
         )
-    digits = range(sys.N)
-    sums = [0]
-    for i in range(1, k + 1):
-        b_i = sys.b_entry(i)
-        t_i = sys.t_entry(i)
-        sums = [base * b_i + d * t_i for base in sums for d in digits]
+    h = k // 2
+    high = _expand(sys, 1, h, prod(sys.b_entry(i) for i in range(h + 1, k + 1)))
+    low = _expand(sys, h + 1, k)
+    sums = [a + c for a in high for c in low]
     sums.sort()
+    repeat = any(map(operator.eq, sums, sums[1:]))
     # equal neighbours of the sorted list, each value once, in order
-    collisions = tuple(dict.fromkeys(a for a, b in zip(sums, sums[1:]) if a == b))
+    collisions = tuple(dict.fromkeys(a for a, b in zip(sums, sums[1:]) if a == b)) if repeat else ()
     alphas = _alpha_exponents(sys, k)
     return AggregateDigitSet(
         k=k,

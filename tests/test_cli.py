@@ -176,6 +176,10 @@ def _float_digit(payload):
     payload["digit_elements"][1] = float(payload["digit_elements"][1])
 
 
+def _far_breakpoint(payload):
+    payload["levels"][0]["breakpoints"] = [0, 20000]
+
+
 @pytest.mark.parametrize(
     "source,mutate,code,message",
     [
@@ -188,6 +192,12 @@ def _float_digit(payload):
         (TILE_CERT, lambda p: p.update(k="3"), 3, "'k' must be an integer"),
         (TILE_CERT, lambda p: p.update(complement_elements=[], modulus=0), 3, "modulus of at least 1"),
         (TERNARY_TILE_CERT, lambda p: p.update(k=10**7), 2, "limit:"),
+        # the same elements in another order, or with one repeated
+        (TILE_CERT, lambda p: p["digit_elements"].reverse(), 1, "FAIL digit-set (first difference at index 0)"),
+        (TILE_CERT, lambda p: p["digit_elements"].append(0), 1, "FAIL digit-set (first difference at index 8)"),
+        (TILE_CERT, lambda p: p.update(exponents=[7, 7, 7]), 1, "FAIL exponents (recomputed ["),
+        # 2^20000 has 6,021 digits: refused before it is formed or printed
+        (SPECTRUM_CERT, _far_breakpoint, 3, "level size 2^20000 is over the cap"),
     ],
     ids=[
         "empty",
@@ -198,6 +208,10 @@ def _float_digit(payload):
         "tile-string-k",
         "tile-empty-complement",
         "tile-huge-k",
+        "tile-reordered-digits",
+        "tile-repeated-digit",
+        "tile-wrong-exponents",
+        "far-breakpoint",
     ],
 )
 def test_verify_rejects_hollow_or_malformed_levels(conf, capsys, tmp_path, source, mutate, code, message):

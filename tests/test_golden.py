@@ -3,7 +3,9 @@
 The spectrum and nu_tail digests were taken from the pairwise
 orthogonality scan and the per-call Fraction tail loop, the tile digests
 from the Counter-based expansion and the per-cell exact-cover loop, and
-the Q digest from the Q sum written out in the plot command. Any faster
+the Q digest from the Q sum written out in the plot command, and every
+tile digest through json.dumps's indent=2 encoder, the k=15 one with a
+digit list longer than one run of the direct writer. Any faster
 or refactored path has to write the very same bytes. The mu_hat digest
 was taken from the shifted grid at shift 0; its rows are checked against
 the exact rational evaluation below.
@@ -55,6 +57,11 @@ GOLDEN = [
         "95fbb484cc97f25191929b3f99562734e51c6946fb391e0d71eb799c731cef2a",
     ),
     (
+        EX1,
+        ["tile", "--k", "15"],
+        "610399c1213bc04b8e6f7940e9e57f7923e05693325db98eb707fce8f6e12a47",
+    ),
+    (
         QUARTER,
         ["tile", "--k", "6"],
         "cbcb84833474b872177c78d60f1431508781a5de3c5344a0f78d55084c2fa242",
@@ -77,6 +84,7 @@ GOLDEN = [
         "q",
         "mu-hat",
         "tile-alternating",
+        "tile-alternating-deep",
         "tile-quarter",
         "tile-ternary",
     ],

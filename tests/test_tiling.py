@@ -51,6 +51,21 @@ def ref_aggregate_multiset(sys, k):
     return sorted(out)
 
 
+def ref_aggregate(sys, k):
+    """The level-by-level expansion, one multiply-add per element per
+    level: the oracle for aggregate's split at k // 2. Returns the
+    elements, whether the sum is direct, and the collisions."""
+    digits = range(sys.N)
+    sums = [0]
+    for i in range(1, k + 1):
+        b_i = sys.b_entry(i)
+        t_i = sys.t_entry(i)
+        sums = [base * b_i + d * t_i for base in sums for d in digits]
+    sums.sort()
+    collisions = tuple(dict.fromkeys(a for a, b in zip(sums, sums[1:]) if a == b))
+    return tuple(dict.fromkeys(sums)), not collisions, collisions
+
+
 def ref_verify_tiling(D, L, modulus):
     """The per-cell exact-cover loop, one byte per residue: the oracle
     for the chunked scatter in verify_tiling."""
@@ -106,6 +121,9 @@ def test_aggregate_matches_positional_reference():
         (prefix_system(2, [2, 3, 2], [1, 3, 6]), 3),
         (prefix_system(3, [3, 3], [1, 3]), 2),
         (prefix_system(2, [2, 2, 2], [1, 2, 3]), 3),
+        # signed, and deep enough that both halves of the split collide
+        (prefix_system(2, [2] * 8, [1, 2, 3, 1, 2, 3, 1, 2]), 8),
+        (prefix_system(3, [-3, 3, -3, 3, 3], [1, 3, -1, 2, 1]), 5),
     ]
     for sys, k in cases:
         ref = Counter(ref_aggregate_multiset(sys, k))
@@ -114,6 +132,24 @@ def test_aggregate_matches_positional_reference():
         assert agg.collisions == tuple(sorted(v for v, c in ref.items() if c > 1))
         assert agg.direct == (len(agg.elements) == sys.N**k)
     assert aggregate(prefix_system(3, [3, 3], [1, 3]), 2).collisions == (3, 6, 9)
+
+
+# the deepest level drawn for each N keeps a case under 1,000 sums
+DEEPEST = {2: 8, 3: 6, 5: 4}
+SIGNED_B = st.integers(2, 20).flatmap(lambda v: st.sampled_from([v, -v]))
+SIGNED_T = st.integers(1, 12).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), N=st.sampled_from([2, 3, 5]), small=st.booleans())
+def test_aggregate_split_matches_the_level_loop(data, N, small):
+    # b in {±2, ±3} and t up to 4 make colliding expansions common
+    k = data.draw(st.integers(1, DEEPEST[N]))
+    bs = data.draw(st.lists(st.sampled_from([2, -2, 3, -3]) if small else SIGNED_B, min_size=k, max_size=k))
+    ts = data.draw(st.lists(st.integers(-4, 4).filter(bool) if small else SIGNED_T, min_size=k, max_size=k))
+    sys = prefix_system(N, bs, ts)
+    agg = aggregate(sys, k)
+    assert (agg.elements, agg.direct, agg.collisions) == ref_aggregate(sys, k)
 
 
 def test_aggregate_resource_cap():
