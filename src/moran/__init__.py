@@ -40,8 +40,6 @@ from .fourier import (
     mu_hat_k,
     mu_hat_shifted_grid,
     nu_hat_tail,
-    support_radius,
-    zero_set_member,
 )
 from .spectra import (
     SpectrumBlock,
@@ -53,7 +51,7 @@ from .spectra import (
     verify_spectrum_finite,
     verify_tail_lower_bound,
 )
-from .config import SystemConfig, load_config, parse_config_text, system_fingerprint
+from .config import SystemConfig, load_config, parse_config_text
 from .certificates import verify_certificate
 
 __all__ = [
@@ -88,8 +86,6 @@ __all__ = [
     "q_grid_check",
     "s_value",
     "spectral_hypothesis_check",
-    "support_radius",
-    "system_fingerprint",
     "tijdeman_scale_check",
     "tile_predicate",
     "valuation",
@@ -98,5 +94,4 @@ __all__ = [
     "verify_spectrum_finite",
     "verify_tail_lower_bound",
     "verify_tiling",
-    "zero_set_member",
 ]

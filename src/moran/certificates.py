@@ -164,7 +164,7 @@ def dumps(cert: dict) -> str:
 def loads(text: str) -> dict:
     try:
         cert = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
         raise ParseError(f"certificate is not valid JSON: {exc}") from exc
     if not isinstance(cert, dict):
         raise ParseError("certificate must be a JSON object")
@@ -276,13 +276,10 @@ def _check_spectrum(payload, sys: MoranSystem, checks, params, tol):
     checks.append(
         ("scale-exponent", m == payload["scale_exponent"], f"recomputed {m}")
     )
-    checks.append(
-        (
-            "denominator",
-            payload["denominator"] == sys.N ** payload["scale_exponent"],
-            None,
-        )
-    )
+    e, stated_den = payload["scale_exponent"], payload["denominator"]
+    # N >= 2, so N^e has more than e bits: an e that is not below the
+    # stated denominator's bit length cannot match, and N^e is not formed
+    checks.append(("denominator", 0 <= e < stated_den.bit_length() and stated_den == sys.N**e, None))
     den = sys.N**m
     if not levels:
         checks.append(("levels", False, "the certificate lists no level"))

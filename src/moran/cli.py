@@ -40,7 +40,6 @@ from .system import (
     CaseII,
     Collision,
     Converges,
-    Diverges,
     Satisfied,
     SequenceSpec,
     case_classify,
@@ -142,18 +141,11 @@ def cmd_analyze(cfg, args) -> int:
         print(f"normalization: not applicable; {exc}")
 
     depth = cfg.options.get("depth", 16)
-    verdict = existence_check(
-        SequenceSpec.periodic([cfg.N]), cfg.t, cfg.b, depth=depth
-    )
+    verdict = existence_check(system, depth)
     if isinstance(verdict, Converges):
         print(
             f"existence: series converges; partial sum {float(verdict.partial_sum):.6g}"
             f" with tail at most {float(verdict.tail_bound):.6g} (depth {verdict.depth})"
-        )
-    elif isinstance(verdict, Diverges):
-        print(
-            f"existence: series diverges; the term at index {verdict.witness} "
-            f"recurs every {verdict.period}"
         )
     else:
         print(f"existence: undecided at depth {verdict.depth}")
@@ -185,7 +177,8 @@ def cmd_tile(cfg, args) -> int:
         i, j = pair
         print(
             f"tiling at level {args.k}: fails; levels {i} and {j} "
-            f"share exponent s = {system.skeleton.s(j)}, so the expansion is not direct"
+            f"share exponent s = {system.skeleton.s(j)}, so the level-{args.k} expansion "
+            "is not an integer tile"
         )
         return EXIT_REFUSAL
     cap = cfg.options.get("element_cap", ELEMENT_CAP)
@@ -221,14 +214,7 @@ def cmd_spectrum(cfg, args) -> int:
     print(f"fingerprint: {fp}")
     params = cfg.build_params(depth=args.depth)
     window = args.window or cfg.options.get("window")
-    try:
-        levels = build_spectrum(system, args.levels, params, window=window)
-    except UnsupportedCaseError as exc:
-        print(f"refusal: {exc}", file=_stdsys.stderr)
-        return EXIT_REFUSAL
-    except PreconditionError as exc:
-        print(f"refusal: {exc}", file=_stdsys.stderr)
-        return EXIT_REFUSAL
+    levels = build_spectrum(system, args.levels, params, window=window)
     m = levels[0].scale_exponent
     print(
         f"scale exponent m = {m}: certified elements divide by {cfg.N}^{m} "

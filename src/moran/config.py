@@ -200,7 +200,3 @@ def fingerprint(N: int, b: SequenceSpec, t: SequenceSpec) -> str:
     """Hex digest naming the system; options never contribute."""
     text = canonical_system_text(N, b, t)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def system_fingerprint(sys: MoranSystem) -> str:
-    return fingerprint(sys.N, sys.b, sys.t)

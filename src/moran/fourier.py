@@ -2,24 +2,19 @@
 
 Single factors are short exponential sums, finite products give the
 level-k transform, and tails of the infinite product are truncated with
-an explicit error bound. Zero-set membership is decided in exact
-arithmetic; floats here are advisory, every PASS/FAIL style decision
-happens on integers and Fractions.
+an explicit error bound built on system._tail_ratio_sum, the exact tail
+series. Floats here are advisory; every PASS/FAIL style decision happens
+on integers and Fractions.
 """
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from math import pi
-from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, HorizonError, UnsupportedCaseError
-from .numthy import ExactRational, _valuation_unchecked
-from .system import MoranSystem, hypothesis_holds_from
-
-Rational = Union[int, Fraction]
+from .errors import DomainError, UnsupportedCaseError
+from .system import MoranSystem, _tail_ratio_sum, hypothesis_holds_from
 
 
 def m_factor(N: int, t: int, x) -> complex:
@@ -106,37 +101,6 @@ def _residue_product(N: int, factors, p: int, q: int) -> complex:
     return value
 
 
-def _tail_ratio_sum(sys: MoranSystem, k: int, M: int) -> Fraction:
-    """Exact value of sum over n > M of |t_{k+n}| / |b_{k+1} ... b_{k+n}|.
-
-    Entries may be negative, so magnitudes are summed; that is what the
-    truncation bound needs. Head terms are added one by one until the
-    indices k+n sit past the preperiod; from there one period block is
-    summed and the rest is geometric with ratio one over the period
-    product of |b|.
-    """
-    if not sys.is_periodic:
-        raise HorizonError("tail sums need periodic sequence specs")
-    sk = sys.skeleton
-    P, p = sk.P, sk.p
-    total = Fraction(0)
-    B = Fraction(1)
-    for i in range(1, M + 1):
-        B *= abs(sys.b_entry(k + i))
-    n = M + 1
-    while k + n <= P:
-        B *= abs(sys.b_entry(k + n))
-        total += Fraction(abs(sys.t_entry(k + n))) / B
-        n += 1
-    block = Fraction(0)
-    Bp = 1
-    for r in range(p):
-        B *= abs(sys.b_entry(k + n + r))
-        Bp *= abs(sys.b_entry(k + n + r))
-        block += Fraction(abs(sys.t_entry(k + n + r))) / B
-    return total + block * Fraction(Bp, Bp - 1)
-
-
 class TailKernel:
     """The truncated tail transform past level k, set up once for reuse.
 
@@ -191,70 +155,3 @@ def nu_hat_tail(sys: MoranSystem, k: int, xi, M: int):
     frequencies for one (sys, k, M) should build one TailKernel instead.
     """
     return TailKernel(sys, k, M)(xi)
-
-
-def support_radius(sys: MoranSystem, k: int) -> ExactRational:
-    """Exact upper bound for how far mass past level k can reach."""
-    return (sys.N - 1) * _tail_ratio_sum(sys, k, 0)
-
-
-@dataclass(frozen=True)
-class ZeroSetComponent:
-    """One exactly-described component of the transform's zero set.
-
-    The component is scale * w / denominator over integers w coprime
-    to the prime. Membership of a rational is a divisibility question.
-    """
-
-    index: int
-    scale: ExactRational
-    denominator: int
-    prime: int
-
-    def contains(self, xi: Rational) -> bool:
-        quotient = Fraction(xi) * self.denominator / self.scale
-        return quotient.denominator == 1 and quotient.numerator % self.prime != 0
-
-
-def zero_set_component(sys: MoranSystem, k: int) -> ZeroSetComponent:
-    sk = sys.skeleton
-    return ZeroSetComponent(
-        index=k,
-        scale=Fraction(sys.N) ** sk.s(k) * sk.bold_b(k),
-        denominator=sk.t_free(k),
-        prime=sys.N,
-    )
-
-
-def zero_set_member(sys: MoranSystem, xi, horizon: Optional[int] = None) -> Optional[int]:
-    """Smallest component index containing xi, or a certified None.
-
-    The component at index k has magnitude at least B_k / (N t_k), so
-    once B_k exceeds N * t_max * |xi| no later component can contain
-    xi and the scan stops with a proof. An explicit horizon turns an
-    unfinished scan into a horizon error instead.
-    """
-    xi = Fraction(xi)
-    sk = sys.skeleton
-    N = sys.N
-    t_max = max(abs(v) for v in sys.t.all_values())
-    as_int = xi.denominator == 1
-    if as_int and xi != 0:
-        e, u0 = _valuation_unchecked(xi.numerator, N)
-    abs_xi = abs(xi)
-    k = 1
-    while True:
-        if horizon is not None and k > horizon:
-            raise HorizonError(f"zero-set scan passed the horizon {horizon} uncertified")
-        B = sys.b_product(k)
-        if Fraction(abs(B), N * t_max) > abs_xi:
-            return None
-        if xi != 0:
-            if as_int:
-                if sk.s(k) == e and (u0 * sk.t_free(k)) % sk.bold_b(k) == 0:
-                    return k
-            else:
-                q = xi * sk.t_free(k) / (Fraction(N) ** sk.s(k) * sk.bold_b(k))
-                if q.denominator == 1 and q.numerator % N != 0:
-                    return k
-        k += 1

@@ -283,20 +283,6 @@ def _qualifying_offset(tails, params):
     )
 
 
-def offset_search(sys: MoranSystem, k: int, x, params: Optional[SpectrumBuildParams] = None) -> int:
-    """Smallest-magnitude integer shift whose tail modulus clears C.
-
-    Candidates run 0, 1, -1, 2, -2, ... out to K; the first one whose
-    certified lower bound (value minus truncation error) exceeds C wins.
-    x = 0 returns 0 immediately, where the tail value is exactly one.
-    """
-    params = params or SpectrumBuildParams()
-    if x == 0:
-        return 0
-    tail = TailKernel(sys, k, params.depth)
-    return _qualifying_offset(lambda z: (tail(x + z),), params)
-
-
 # -- level assembly --------------------------------------------------------
 
 

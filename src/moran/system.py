@@ -128,18 +128,6 @@ class MoranSystem:
     def b_product(self, k: int) -> int:
         return self.skeleton.b_product(k)
 
-    def is_normalized(self) -> bool:
-        """Positive entries and s_k >= 0 over the decidable range."""
-        if any(v < 2 for v in self.b.all_values()):
-            return False
-        if any(v < 1 for v in self.t.all_values()):
-            return False
-        sk = self.skeleton
-        try:
-            return sk.min_s() >= 0
-        except HorizonError:
-            return False
-
 
 class SSkeleton:
     """Per-index cache of s_k, N-free parts b'_k / t'_k, their products
@@ -354,12 +342,6 @@ class Converges:
 
 
 @dataclass(frozen=True)
-class Diverges:
-    witness: int
-    period: int
-
-
-@dataclass(frozen=True)
 class Unknown:
     partial_sum: Fraction
     depth: int
@@ -383,11 +365,6 @@ class Violated:
 def s_value(sys: MoranSystem, k: int) -> int:
     """s_k = tau_N(b_1...b_k) - tau_N(t_k) - 1; may be negative for raw systems."""
     return sys.skeleton.s(k)
-
-
-def bold_b(sys: MoranSystem, k: int) -> int:
-    """Product of the N-free parts b'_1...b'_k; coprime to N."""
-    return sys.skeleton.bold_b(k)
 
 
 def default_window(sys: MoranSystem) -> int:
@@ -511,55 +488,57 @@ def alpha_true(sys: MoranSystem) -> int:
     return max(frak_n(sys, k) - k for k in range(1, sk.P + 2 * sk.p + 1))
 
 
-def existence_check(
-    N_spec: SequenceSpec, t_spec: SequenceSpec, b_spec: SequenceSpec, depth: int
-) -> Union[Converges, Diverges, Unknown]:
-    """Three-series style existence test: does sum |N_k t_k / (b_1...b_k)|
-    converge?
+def _tail_ratio_sum(sys: MoranSystem, k: int, M: int) -> Fraction:
+    """Exact value of sum over n > M of |t_{k+n}| / |b_{k+1} ... b_{k+n}|.
 
-    General integer sequences are allowed here (entries only need to be
-    nonzero). For fully periodic specs the answer is exact: past the
-    preperiod the terms scale by 1/|period product of b| every period, so
-    the remaining sum is a finite block plus a geometric closed form, and
-    |period product| = 1 means the terms repeat forever without decay.
+    Entries may be negative, so magnitudes are summed; that is what the
+    truncation bound needs. Head terms are added one by one until the
+    indices k+n sit past the preperiod; from there one period block is
+    summed and the rest is geometric with ratio one over the period
+    product of |b|, which is at least 2 since every |b_k| >= 2.
+    """
+    if not sys.is_periodic:
+        raise HorizonError("tail sums need periodic sequence specs")
+    sk = sys.skeleton
+    P, p = sk.P, sk.p
+    total = Fraction(0)
+    B = Fraction(1)
+    for i in range(1, M + 1):
+        B *= abs(sys.b_entry(k + i))
+    n = M + 1
+    while k + n <= P:
+        B *= abs(sys.b_entry(k + n))
+        total += Fraction(abs(sys.t_entry(k + n))) / B
+        n += 1
+    block = Fraction(0)
+    Bp = 1
+    for r in range(p):
+        B *= abs(sys.b_entry(k + n + r))
+        Bp *= abs(sys.b_entry(k + n + r))
+        block += Fraction(abs(sys.t_entry(k + n + r))) / B
+    return total + block * Fraction(Bp, Bp - 1)
+
+
+def existence_check(sys: MoranSystem, depth: int) -> Union[Converges, Unknown]:
+    """Does sum N |t_k| / |b_1...b_k| converge, so that the measure exists?
+
+    Periodic systems always converge, and the split at depth is exact:
+    the tail past depth is N times _tail_ratio_sum(sys, 0, depth), and
+    the partial sum is the whole series less that tail. A prefix system
+    only gets its partial sum over the first depth terms, which must lie
+    within its horizon.
     """
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    partial = Fraction(0)
-
-    def term(k):
-        return Fraction(
-            abs(N_spec.entry(k) * t_spec.entry(k)), abs(_bprod(k))
-        )
-
-    prods = [1]
-
-    def _bprod(k):
-        while len(prods) <= k:
-            prods.append(prods[-1] * b_spec.entry(len(prods)))
-        return prods[k]
-
-    all_periodic = (
-        N_spec.is_periodic and t_spec.is_periodic and b_spec.is_periodic
+    N = sys.N
+    if sys.is_periodic:
+        tail = N * _tail_ratio_sum(sys, 0, depth)
+        return Converges(N * _tail_ratio_sum(sys, 0, 0) - tail, tail, depth)
+    partial = sum(
+        (Fraction(N * abs(sys.t_entry(k)), abs(sys.b_product(k))) for k in range(1, depth + 1)),
+        Fraction(0),
     )
-    for k in range(1, depth + 1):
-        partial += term(k)
-    if not all_periodic:
-        return Unknown(partial, depth)
-    P = max(len(N_spec.preperiod), len(t_spec.preperiod), len(b_spec.preperiod))
-    p = lcm(
-        len(N_spec.period) or 1, len(t_spec.period) or 1, len(b_spec.period) or 1
-    )
-    Bp = 1
-    for i in range(p):
-        Bp *= b_spec.entry(P + 1 + i)
-    if abs(Bp) == 1:
-        return Diverges(P + 1, p)
-    J = max(depth + 1, P + 1)
-    head = sum((term(k) for k in range(depth + 1, J)), Fraction(0))
-    G = sum((term(k) for k in range(J, J + p)), Fraction(0))
-    tail = head + G * Fraction(abs(Bp), abs(Bp) - 1)
-    return Converges(partial, tail, depth)
+    return Unknown(partial, depth)
 
 
 def normalize(sys: MoranSystem):

@@ -108,7 +108,7 @@ def aggregate(sys: MoranSystem, k: int, element_cap: int = ELEMENT_CAP) -> Aggre
 
 
 def tile_predicate(sys: MoranSystem, k: int) -> bool:
-    """Decide whether the level-k expansion is a direct sum.
+    """Decide whether the level-k expansion is an integer tile.
 
     Holds exactly when the first k valuation offsets are pairwise
     distinct; no elements are materialized.
@@ -130,7 +130,8 @@ def build_complement(sys: MoranSystem, k: int) -> TilingComplement:
     if pair is not None:
         i, j = pair
         raise PreconditionError(
-            f"expansion is not direct: levels {i} and {j} share digit position {alphas[j - 1]}"
+            f"level-{k} expansion is not an integer tile: levels {i} and {j} "
+            f"share digit position {alphas[j - 1]}"
         )
     occupied = set(alphas)
     top = max(alphas)

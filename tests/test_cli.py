@@ -1,6 +1,7 @@
 """End-to-end command line behavior: reports, certificates, exit codes."""
 
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -13,6 +14,8 @@ EX2 = "N = 2\nb.period = 18\nt.period = 1 16\n"
 TILE_ONLY = "N = 3\nb.period = 3\nt.preperiod = 1\nt.period = 4\n"
 COLLIDER = "N = 2\nb.period = 2 6\nt.period = 1 2\n"
 QUARTER = "N = 2\nb.period = 4\nt.period = 1\n"
+# s_k = -1 for every k: the level-2 expansion {0, 1, 3, 4} is direct, not a tile
+ODD_SCALE = "N = 2\nb.period = 3\nt.period = 1\n"
 TERNARY = "N = 3\nb.period = 9\nt.period = 1 4\n"
 
 
@@ -106,6 +109,14 @@ def test_tile_collision_witness(conf, capsys):
     assert "share exponent s = 0" in out
 
 
+def test_tile_refusal_on_a_direct_expansion_claims_no_tile(conf, capsys):
+    code, out, _ = run(capsys, ["tile", conf(ODD_SCALE), "--k", "2"])
+    assert code == 1
+    assert "levels 1 and 2 share exponent s = -1" in out
+    assert "is not an integer tile" in out
+    assert "direct" not in out
+
+
 def test_tile_k_zero_is_usage(conf, capsys):
     code, _, err = run(capsys, ["tile", conf(EX1), "--k", "0"])
     assert code == 3
@@ -180,6 +191,11 @@ def _far_breakpoint(payload):
     payload["levels"][0]["breakpoints"] = [0, 20000]
 
 
+# json.dumps cannot write an integer of over 4,300 digits, so a case
+# stores this placeholder and the test writes the digits in its place
+_NINES = "<5,000 nines>"
+
+
 @pytest.mark.parametrize(
     "source,mutate,code,message",
     [
@@ -198,6 +214,7 @@ def _far_breakpoint(payload):
         (TILE_CERT, lambda p: p.update(exponents=[7, 7, 7]), 1, "FAIL exponents (recomputed ["),
         # 2^20000 has 6,021 digits: refused before it is formed or printed
         (SPECTRUM_CERT, _far_breakpoint, 3, "level size 2^20000 is over the cap"),
+        (TILE_CERT, lambda p: p.update(modulus=_NINES), 3, "certificate is not valid JSON"),
     ],
     ids=[
         "empty",
@@ -212,6 +229,7 @@ def _far_breakpoint(payload):
         "tile-repeated-digit",
         "tile-wrong-exponents",
         "far-breakpoint",
+        "tile-huge-modulus",
     ],
 )
 def test_verify_rejects_hollow_or_malformed_levels(conf, capsys, tmp_path, source, mutate, code, message):
@@ -222,13 +240,36 @@ def test_verify_rejects_hollow_or_malformed_levels(conf, capsys, tmp_path, sourc
     assert main([command, cfg, *options, "--out", str(cert)]) == 0
     data = json.loads(cert.read_text())
     mutate(data["payload"])
-    cert.write_text(json.dumps(data))
+    cert.write_text(json.dumps(data).replace(json.dumps(_NINES), "9" * 5000))
     got, out, err = run(capsys, ["verify", cfg, str(cert)])
     assert got == code
     assert message in (out if code == 1 else err)
     if code == 1:
         assert "result: FAIL" in out
     assert "Traceback" not in out + err
+
+
+def test_verify_bounds_the_stated_scale_exponent(conf, capsys, tmp_path):
+    # N^(10^9) would take seconds and hundreds of MB to form
+    cfg = conf(EX1)
+    cert = tmp_path / "spectrum.json"
+    run(capsys, ["spectrum", cfg, "--levels", "1", "--out", str(cert)])
+    doc = json.loads(cert.read_text())
+    doc["payload"]["scale_exponent"] = 10**9
+    cert.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["verify", cfg, str(cert)])
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "FAIL scale-exponent (recomputed 1)",
+        "FAIL denominator",
+        "PASS level-1-cardinality",
+        "PASS level-1-orthogonality",
+        "PASS level-1-tail",
+        "PASS level-1-scaling",
+        "result: FAIL",
+    ]
 
 
 def test_tile_over_the_cover_cap_is_a_limit(conf, capsys):

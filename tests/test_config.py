@@ -11,7 +11,6 @@ from moran.config import (
     fingerprint,
     load_config,
     parse_config_text,
-    system_fingerprint,
 )
 from moran.errors import ParseError
 from moran.system import MoranSystem, SequenceSpec
@@ -124,7 +123,6 @@ def test_fingerprint_depends_on_system_only():
     assert base.fingerprint() == with_options.fingerprint()
     other = parse_config_text("N = 2\nb.period = 18\nt.period = 1 16\n")
     assert base.fingerprint() != other.fingerprint()
-    assert base.fingerprint() == system_fingerprint(base.system())
 
 
 def test_fingerprint_distinguishes_shape():

@@ -8,7 +8,9 @@ tile digest through json.dumps's indent=2 encoder, the k=15 one with a
 digit list longer than one run of the direct writer. Any faster
 or refactored path has to write the very same bytes. The mu_hat digest
 was taken from the shifted grid at shift 0; its rows are checked against
-the exact rational evaluation below.
+the exact rational evaluation below. The analyze digests were taken from
+the existence series summed over three general sequences, before it
+became the tail series that truncation uses.
 """
 
 import hashlib
@@ -24,6 +26,9 @@ EX1 = "N = 2\nb.period = 18\nt.period = 1 4\n"
 EX2 = "N = 2\nb.period = 18\nt.period = 1 16\n"
 QUARTER = "N = 2\nb.period = 4\nt.period = 1\n"
 TERNARY = "N = 3\nb.period = 9\nt.period = 1 4\n"
+SIGNED = "N = 3\nb.preperiod = -5\nb.period = 9 -12\nt.preperiod = 2\nt.period = 1 -1\n"
+# t_k = 9 * 18^(k-1): the 20 entries outlast the default depth of 16
+PREFIX = "N = 2\nb.period = 18\nt.prefix = " + " ".join(str(9 * 18**i) for i in range(20)) + "\n"
 
 GOLDEN = [
     (
@@ -97,6 +102,27 @@ def test_output_bytes_are_pinned(tmp_path, capsys, text, argv, digest):
     assert main([command, str(config), *options, "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+ANALYZE_GOLDEN = [
+    (EX1, "2ab43a699aca1b400e7bf8d9948ec9c7e88cc60a85d54419b4640876a365e8f6"),
+    (EX2, "a3e2992ce4133f8ca486de6a0a4c4045b756f84c0e06b7d4da4e704f0defbabe"),
+    (SIGNED, "8ec27a2abbee1556f13f3dc0ec24ace16693915616dd603304949293d541d0ee"),
+    (PREFIX, "b0f217789e6c0ef85ef372024faa9714a563f8d5a51acc7838c2ddca2f9922a6"),
+]
+
+
+@pytest.mark.parametrize(
+    "text,digest", ANALYZE_GOLDEN, ids=["recurrent", "persistent", "signed-preperiodic", "prefix"]
+)
+def test_analyze_report_is_pinned(tmp_path, capsys, text, digest):
+    config = tmp_path / "system.conf"
+    config.write_text(text)
+    assert main(["analyze", str(config)]) == 0
+    # every line but the first, which names the temporary config path
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert lines[0].startswith("config: ")
+    assert hashlib.sha256("".join(lines[1:]).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("text", [EX1, EX2, QUARTER, TERNARY], ids=["ex1", "ex2", "quarter", "ternary"])

@@ -1,0 +1,36 @@
+"""Source checks that need no linter: every name a module imports is used.
+
+Deleting code tends to leave its imports behind. The package __init__
+imports names only to re-export them, so it is left out.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "moran"
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_imports_are_found():
+    source = "import os\nfrom math import pi, tau as turn\nimport numpy as np\nprint(pi, np.e)\n"
+    assert unused_imports(source) == [(1, "os"), (2, "turn")]
+
+
+def test_every_import_in_src_is_used():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    found = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in modules}
+    assert {name: hits for name, hits in found.items() if hits} == {}

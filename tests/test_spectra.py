@@ -23,18 +23,18 @@ from moran.errors import (
     ResourceError,
     UnsupportedCaseError,
 )
-from moran.fourier import m_factor, mu_hat_k, nu_hat_tail, zero_set_member
+from moran.fourier import TailKernel, m_factor, mu_hat_k, nu_hat_tail
 from moran.spectra import (
     QGridReport,
     SpectrumBlock,
     SpectrumBuildParams,
     SpectrumLevel,
     _next_breakpoint,
+    _qualifying_offset,
     build_block,
     build_level,
     build_spectrum,
     extension_factor_floor,
-    offset_search,
     omega_split,
     q_grid_check,
     trivial_level,
@@ -51,6 +51,7 @@ from moran.system import (
     frak_n,
     normalize,
 )
+from zero_set_oracle import zero_set_member
 
 # -- reference implementations (oracles) -----------------------------------
 
@@ -272,9 +273,11 @@ def test_build_block_rejects_inadmissible_end():
 
 # -- offset search ---------------------------------------------------------
 
-def test_offset_search_pins_zero_at_zero():
-    assert offset_search(quarter_system(), 0, 0) == 0
-    assert offset_search(example_1(normalized=True), 2, Fraction(0)) == 0
+def offset_search(sys, k, x, params=None):
+    # the search build_level runs for one element, at the single frequency x
+    params = params or SpectrumBuildParams()
+    tail = TailKernel(sys, k, params.depth)
+    return _qualifying_offset(lambda z: (tail(x + z),), params)
 
 
 def test_offset_search_accepts_immediate_qualifier():

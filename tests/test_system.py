@@ -7,7 +7,7 @@ no shared code beyond the integer type.
 
 import random
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given
@@ -25,7 +25,6 @@ from moran.system import (
     Collision,
     Converges,
     Distinct,
-    Diverges,
     MoranSystem,
     Satisfied,
     SequenceSpec,
@@ -33,7 +32,6 @@ from moran.system import (
     Unknown,
     Violated,
     alpha_true,
-    bold_b,
     case_classify,
     default_window,
     distinctness_check,
@@ -79,6 +77,33 @@ def ref_first_repeat(sys, k):
             return first_seen[v], j
         first_seen[v] = j
     return None
+
+
+def ref_existence_check(N_spec, t_spec, b_spec, depth):
+    # the series sum |N_k t_k / (b_1...b_k)| for three general sequences:
+    # the partial sum term by term, then for periodic specs one period
+    # block past the preperiod and a geometric closed form for the rest
+    partial = Fraction(0)
+    prods = [1]
+
+    def term(k):
+        while len(prods) <= k:
+            prods.append(prods[-1] * b_spec.entry(len(prods)))
+        return Fraction(abs(N_spec.entry(k) * t_spec.entry(k)), abs(prods[k]))
+
+    for k in range(1, depth + 1):
+        partial += term(k)
+    if not (N_spec.is_periodic and t_spec.is_periodic and b_spec.is_periodic):
+        return Unknown(partial, depth)
+    P = max(len(N_spec.preperiod), len(t_spec.preperiod), len(b_spec.preperiod))
+    p = lcm(len(N_spec.period), len(t_spec.period), len(b_spec.period))
+    Bp = prod(b_spec.entry(P + 1 + i) for i in range(p))
+    if abs(Bp) == 1:
+        return None  # the terms recur forever without decay
+    J = max(depth + 1, P + 1)
+    head = sum((term(k) for k in range(depth + 1, J)), Fraction(0))
+    G = sum((term(k) for k in range(J, J + p)), Fraction(0))
+    return Converges(partial, head + G * Fraction(abs(Bp), abs(Bp) - 1), depth)
 
 
 # -- fixtures --------------------------------------------------------------
@@ -166,11 +191,10 @@ def test_s_value_matches_reference_on_random_systems():
 
 
 def test_bold_b_examples():
-    assert bold_b(example_1(), 3) == 729
-    assert bold_b(example_1(normalized=True), 2) == 81
-    assert bold_b(example_tile_only(), 4) == 1
-    sys = example_2(normalized=True)
-    assert bold_b(sys, 1) == 9
+    assert example_1().skeleton.bold_b(3) == 729
+    assert example_1(normalized=True).skeleton.bold_b(2) == 81
+    assert example_tile_only().skeleton.bold_b(4) == 1
+    assert example_2(normalized=True).skeleton.bold_b(1) == 9
 
 
 # -- frak_n / alpha --------------------------------------------------------
@@ -297,18 +321,14 @@ def test_case_classify_prefix_undetermined():
 
 
 def test_existence_converges_golden():
-    res = existence_check(
-        SequenceSpec.periodic([2]),
-        SequenceSpec.periodic([1, 4]),
-        SequenceSpec.periodic([18]),
-        depth=8,
-    )
+    ex1 = example_1()
+    res = existence_check(ex1, depth=8)
     assert isinstance(res, Converges)
+    assert res == ref_existence_check(
+        SequenceSpec.periodic([2]), ex1.t, ex1.b, depth=8
+    )
     res2 = existence_check(
-        SequenceSpec.periodic([3]),
-        SequenceSpec.periodic([1]),
-        SequenceSpec.periodic([3]),
-        depth=5,
+        MoranSystem(3, SequenceSpec.periodic([3]), SequenceSpec.periodic([1])), depth=5
     )
     assert isinstance(res2, Converges)
     # sum of 3 * 3^-k
@@ -316,11 +336,13 @@ def test_existence_converges_golden():
 
 
 def test_existence_tail_bound_is_exact_remaining_sum():
-    N_s = SequenceSpec.periodic([2])
-    t_s = SequenceSpec.periodic([3, 5], preperiod=[7])
-    b_s = SequenceSpec.periodic([6, 4], preperiod=[2])
-    shallow = existence_check(N_s, t_s, b_s, depth=3)
-    deep = existence_check(N_s, t_s, b_s, depth=40)
+    sys = MoranSystem(
+        2,
+        SequenceSpec.periodic([6, 4], preperiod=[2]),
+        SequenceSpec.periodic([3, 5], preperiod=[7]),
+    )
+    shallow = existence_check(sys, depth=3)
+    deep = existence_check(sys, depth=40)
     assert shallow.partial_sum <= deep.partial_sum
     assert shallow.partial_sum + shallow.tail_bound == deep.partial_sum + deep.tail_bound
     assert deep.tail_bound >= 0
@@ -329,23 +351,29 @@ def test_existence_tail_bound_is_exact_remaining_sum():
 def test_existence_unknown_for_prefix():
     # t_k = 9 * 18^(k-1): every term equals 1, partial sums = depth
     t_entries = [9 * 18**i for i in range(20)]
-    res = existence_check(
-        SequenceSpec.periodic([2]),
-        SequenceSpec.prefix(t_entries),
-        SequenceSpec.periodic([18]),
-        depth=20,
-    )
-    assert res == Unknown(Fraction(20), 20)
+    sys = MoranSystem(2, SequenceSpec.periodic([18]), SequenceSpec.prefix(t_entries))
+    assert existence_check(sys, depth=20) == Unknown(Fraction(20), 20)
+    with pytest.raises(HorizonError):
+        existence_check(sys, depth=21)
 
 
-def test_existence_diverges_without_decay():
-    res = existence_check(
-        SequenceSpec.periodic([2]),
-        SequenceSpec.periodic([3]),
-        SequenceSpec.periodic([1, -1]),
-        depth=4,
-    )
-    assert isinstance(res, Diverges)
+@st.composite
+def signed_periodic_systems(draw):
+    def spec(low, high):
+        entries = st.integers(low, high).flatmap(lambda v: st.sampled_from([v, -v]))
+        return SequenceSpec.periodic(
+            draw(st.lists(entries, min_size=1, max_size=3)),
+            preperiod=draw(st.lists(entries, max_size=3)),
+        )
+
+    return MoranSystem(draw(st.sampled_from([2, 3, 5])), spec(2, 40), spec(1, 30))
+
+
+@given(signed_periodic_systems(), st.integers(0, 20))
+def test_existence_check_matches_the_general_series(sys, depth):
+    # the tail-series fold gives the three-sequence series' exact Fractions
+    want = ref_existence_check(SequenceSpec.periodic([sys.N]), sys.t, sys.b, depth)
+    assert existence_check(sys, depth) == want
 
 
 # -- normalize -------------------------------------------------------------
@@ -371,7 +399,6 @@ def test_normalize_shifts_s_uniformly():
         for k in range(1, 40):
             assert s_value(norm, k) == s_value(raw, k) + m
         assert min(s_value(norm, k) for k in range(1, 40)) >= 0
-        assert norm.is_normalized()
 
 
 def test_normalize_rejects_signed():
