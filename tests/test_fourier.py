@@ -332,13 +332,15 @@ def test_zero_set_member_golden_results():
     assert zero_set_member(ex1n, 36) is None
     assert zero_set_member(ex1n, 0) is None
     assert zero_set_member(ex1n, Fraction(81)) == 2
-    # components of genuine half-integers
-    half = half_step_system()
-    assert zero_set_member(half, Fraction(5, 2)) == 1
-    assert zero_set_member(half, Fraction(3, 2)) == 2
-    assert zero_set_member(half, 1) == 1
-    assert zero_set_member(half, 3) == 2
-    assert zero_set_member(half, Fraction(15, 2)) == 2
+
+
+def test_zero_set_member_on_fractional_components():
+    sys = half_step_system()
+    assert zero_set_member(sys, Fraction(5, 2)) == 1
+    assert zero_set_member(sys, Fraction(3, 2)) == 2
+    assert zero_set_member(sys, 1) == 1
+    assert zero_set_member(sys, 3) == 2
+    assert zero_set_member(sys, Fraction(15, 2)) == 2
 
 
 def test_zero_set_scan_respects_horizon():
