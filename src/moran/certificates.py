@@ -14,12 +14,8 @@ from itertools import zip_longest
 from typing import Optional
 
 from . import __version__
-from .errors import DomainError, ParseError, PreconditionError
-from .spectra import (
-    SpectrumBuildParams,
-    verify_orthogonal,
-    verify_tail_lower_bound,
-)
+from .errors import ParseError, PreconditionError
+from .spectra import SpectrumBuildParams, level_checks
 from .system import MoranSystem, normalize
 from .tiling import ELEMENT_CAP, aggregate, verify_tiling
 
@@ -285,38 +281,13 @@ def _check_spectrum(payload, sys: MoranSystem, checks, params, tol):
         checks.append(("levels", False, "the certificate lists no level"))
     for record in levels:
         tag = f"level-{record['level']}"
-        k = record["breakpoints"][-1]
-        elements = list(record["elements"])
-        checks.append(
-            (
-                f"{tag}-cardinality",
-                len(set(elements)) == sys.N**k,
-                f"{len(set(elements))} distinct elements, expected {sys.N ** k}",
-            )
-        )
-        try:
-            orth, witness = verify_orthogonal(work, elements, k)
-        except DomainError as exc:
-            orth, witness = False, str(exc)
-        checks.append(
-            (
-                f"{tag}-orthogonality",
-                orth,
-                None if orth else f"difference {witness} is not a transform zero",
-            )
-        )
-        ok, bound, tail_witness = verify_tail_lower_bound(work, elements, k, params)
+        elements = record["elements"]
+        rows, bound = level_checks(work, elements, record["breakpoints"][-1], params)
+        # the stated bound must hold too, not only the epsilon0 floor
         stated = record.get("tail_bound")
-        tail_ok = ok and stated is not None and bound >= stated - tol
-        checks.append(
-            (
-                f"{tag}-tail",
-                tail_ok,
-                f"recomputed {bound:.6g} against stated {stated}"
-                if not tail_ok
-                else None,
-            )
-        )
+        ok = rows[-1][1] and stated is not None and bound >= stated - tol
+        rows[-1] = ("tail", ok, None if ok else f"recomputed {bound:.6g} against stated {stated}")
+        checks.extend((f"{tag}-{name}", ok, detail) for name, ok, detail in rows)
         scaled = [_fraction_text(Fraction(e, den)) for e in elements]
         checks.append(
             (

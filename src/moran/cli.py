@@ -23,7 +23,7 @@ from .certificates import (
     verification_certificate,
     verify_certificate,
 )
-from .config import load_config
+from .config import _parse_grid, _parse_positive_int, load_config
 from .errors import (
     DomainError,
     HorizonError,
@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedCaseError,
 )
 from .fourier import TailKernel, mu_hat_shifted_grid
-from .spectra import build_spectrum, q_sum
+from .spectra import SpectrumBuildParams, build_spectrum, q_sum
 from .system import (
     CaseI,
     CaseII,
@@ -140,7 +140,10 @@ def cmd_analyze(cfg, args) -> int:
     except UnsupportedCaseError as exc:
         print(f"normalization: not applicable; {exc}")
 
-    depth = cfg.options.get("depth", 16)
+    depth = cfg.options.get("depth", SpectrumBuildParams.depth)
+    # a prefix system's series is summed no further than its horizon
+    if system.horizon is not None:
+        depth = min(depth, system.horizon)
     verdict = existence_check(system, depth)
     if isinstance(verdict, Converges):
         print(
@@ -213,8 +216,7 @@ def cmd_spectrum(cfg, args) -> int:
     fp = cfg.fingerprint()
     print(f"fingerprint: {fp}")
     params = cfg.build_params(depth=args.depth)
-    window = args.window or cfg.options.get("window")
-    levels = build_spectrum(system, args.levels, params, window=window)
+    levels = build_spectrum(system, args.levels, params)
     m = levels[0].scale_exponent
     print(
         f"scale exponent m = {m}: certified elements divide by {cfg.N}^{m} "
@@ -280,7 +282,7 @@ def cmd_plot_data(cfg, args) -> int:
     system = cfg.system()
     grid = args.grid or cfg.options.get("grid") or _DEFAULT_GRID
     xs = _grid_points(grid)
-    depth = args.depth or cfg.options.get("depth", 16)
+    depth = args.depth or cfg.options.get("depth", SpectrumBuildParams.depth)
     if args.what == "mu_hat":
         values = np.abs(mu_hat_shifted_grid(system, args.k, xs, 0))
         text = _csv(zip(xs, values), "x,value")
@@ -316,7 +318,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="structure report for a system")
     p.add_argument("config")
-    p.add_argument("--window", type=int)
+    p.add_argument("--window")
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("tile", help="decide the level-k tiling and certify it")
@@ -328,15 +330,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("spectrum", help="build and verify nested spectrum levels")
     p.add_argument("config")
     p.add_argument("--levels", type=int, default=1)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--window", type=int)
+    p.add_argument("--depth")
     p.add_argument("--out")
     p.set_defaults(handler=cmd_spectrum)
 
     p = sub.add_parser("verify", help="re-run the checks a certificate claims")
     p.add_argument("config")
     p.add_argument("certificate")
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth")
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--out")
     p.set_defaults(handler=cmd_verify)
@@ -347,7 +348,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--levels", type=int, default=1)
     p.add_argument("--grid")
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth")
     p.add_argument("--out")
     p.set_defaults(handler=cmd_plot_data)
     return parser
@@ -356,10 +357,10 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if getattr(args, "grid", None):
-            from .config import _parse_grid
-
-            args.grid = _parse_grid(args.grid, "--grid")
+        # flags follow the rules of the options they override
+        for flag, parse in (("grid", _parse_grid), ("window", _parse_positive_int), ("depth", _parse_positive_int)):
+            if getattr(args, flag, None) is not None:
+                setattr(args, flag, parse(getattr(args, flag), f"--{flag}"))
         cfg = load_config(args.config)
         return args.handler(cfg, args)
     except ParseError as exc:

@@ -29,18 +29,17 @@ from .numthy import _valuation_unchecked
 from .system import (
     CaseI,
     CaseII,
-    Collision,
     MoranSystem,
     Undetermined,
     Violated,
     alpha_true,
+    breakpoint_predicate,
     case_classify,
-    distinctness_check,
     frak_n,
     normalize,
     spectral_hypothesis_check,
 )
-from .tiling import ELEMENT_CAP
+from .tiling import ELEMENT_CAP, aggregate
 
 _FACTOR_FLOOR = 1e-6
 
@@ -404,8 +403,6 @@ def verify_spectrum_finite(sys: MoranSystem, lam, k: int) -> bool:
     argument, so colliding digit sums are a precondition failure. Given
     that, an orthogonal family of maximal cardinality is a basis.
     """
-    from .tiling import aggregate
-
     if not aggregate(sys, k).direct:
         raise PreconditionError(
             f"the level-{k} digit sums collide; completeness is undefined"
@@ -434,6 +431,32 @@ def verify_tail_lower_bound(sys: MoranSystem, lam, k: int, params: Optional[Spec
             witness = lam_i
     ok = worst >= params.epsilon0
     return (ok, worst, None if ok else witness)
+
+
+def level_checks(work: MoranSystem, elements, k: int, params: Optional[SpectrumBuildParams] = None):
+    """The checks every certified level passes, for the builder and the
+    certificate replay alike.
+
+    Returns the (name, ok, detail) rows for cardinality, orthogonality and
+    the tail, in that order, and the certified tail lower bound. A failed
+    tail row names the element that set the bound.
+    """
+    params = params or SpectrumBuildParams()
+    distinct = len(set(elements))
+    rows = [("cardinality", distinct == work.N**k, f"{distinct} distinct elements, expected {work.N ** k}")]
+    try:
+        orth, witness = verify_orthogonal(work, elements, k)
+        detail = None if orth else f"difference {witness} is not a transform zero"
+    except DomainError as exc:
+        orth, detail = False, str(exc)
+    rows.append(("orthogonality", orth, detail))
+    ok, bound, witness = verify_tail_lower_bound(work, elements, k, params)
+    detail = (
+        f"tail lower bound {bound:.4g} below epsilon0={params.epsilon0} at "
+        f"element {witness}; increase depth or adjust thresholds"
+    )
+    rows.append(("tail", ok, None if ok else detail))
+    return rows, bound
 
 
 def extension_factor_floor(sys: MoranSystem, block: SpectrumBlock) -> float:
@@ -482,37 +505,27 @@ def q_grid_check(sys: MoranSystem, lam, k: int, grid, tol: float) -> QGridReport
 
 
 def _next_breakpoint(sys, case, prev, m0, params):
-    last = prev.breakpoints[-1]
+    """The first block end k past prev and not below m0 with the peak of
+    prev within sigma0 * |B_k|; in case I also every s_j with j > k above
+    every earlier one. |B_k| grows without bound and case I meets that
+    certified predicate at infinitely many k, so the search ends."""
     peak = max(abs(e) for e in prev.elements)
-    if isinstance(case, CaseI):
-        for k in case.breakpoints:
-            if k <= last or k < m0:
-                continue
-            if Fraction(peak, abs(sys.b_product(k))) <= params.sigma0:
-                return k
-        raise HorizonError(
-            f"no admissible block end among {len(case.breakpoints)} classified "
-            "breakpoints; classify over a larger window"
-        )
-    k = max(last, m0 - 1) + 1
-    while Fraction(peak, abs(sys.b_product(k))) > params.sigma0:
+    k = max(prev.breakpoints[-1], m0 - 1) + 1
+    while Fraction(peak, abs(sys.b_product(k))) > params.sigma0 or (
+        isinstance(case, CaseI) and not breakpoint_predicate(sys, k)
+    ):
         k += 1
     return k
 
 
 def _verify_level(work, level, params):
-    k = level.breakpoints[-1]
-    ok, wit = verify_orthogonal(work, level.elements, k)
-    if not ok:
-        raise MoranError(f"built level fails exact orthogonality at difference {wit}")
-    if len(level.elements) != work.N ** k:
-        raise MoranError("built level has the wrong cardinality")
-    ok_tail, bound, wit_tail = verify_tail_lower_bound(work, level.elements, k, params)
-    if not ok_tail:
-        raise ResourceError(
-            f"tail lower bound {bound:.4g} below epsilon0={params.epsilon0} at "
-            f"element {wit_tail}; increase depth or adjust thresholds"
-        )
+    rows, bound = level_checks(work, level.elements, level.breakpoints[-1], params)
+    for name, ok, detail in rows:
+        if not ok:
+            # a tail below epsilon0 is a limit of the thresholds, not a refusal
+            raise ResourceError(detail) if name == "tail" else MoranError(
+                f"built level fails its {name} check: {detail}"
+            )
     blocks = level.blocks
     newest = blocks[-1]
     if newest.anchor > newest.k2:
@@ -552,7 +565,7 @@ def _admission(sys):
     return work, m_extra, hyp.m0
 
 
-def build_spectrum(sys: MoranSystem, n: int, params: Optional[SpectrumBuildParams] = None, window: Optional[int] = None):
+def build_spectrum(sys: MoranSystem, n: int, params: Optional[SpectrumBuildParams] = None):
     """Drive the full construction: classify, pick block ends, verify.
 
     Returns the built levels in order. When later exponents dominate
@@ -565,13 +578,7 @@ def build_spectrum(sys: MoranSystem, n: int, params: Optional[SpectrumBuildParam
     if n < 1:
         raise DomainError("need at least one level")
     work, m_extra, m0 = _admission(sys)
-    check = distinctness_check(work)
-    if isinstance(check, Collision):
-        raise PreconditionError(
-            f"level exponents collide at ({check.i}, {check.j}); no spectrum "
-            "of this shape exists"
-        )
-    case = case_classify(work, window)
+    case = case_classify(work)  # refuses colliding level exponents
     if isinstance(case, Undetermined):
         raise HorizonError(f"cannot classify the system: {case.reason}")
     plan = n if isinstance(case, CaseI) else n + 1

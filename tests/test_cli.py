@@ -17,6 +17,8 @@ QUARTER = "N = 2\nb.period = 4\nt.period = 1\n"
 # s_k = -1 for every k: the level-2 expansion {0, 1, 3, 4} is direct, not a tile
 ODD_SCALE = "N = 2\nb.period = 3\nt.period = 1\n"
 TERNARY = "N = 3\nb.period = 9\nt.period = 1 4\n"
+# a horizon of 4, below the default tail depth of 16
+SHORT_PREFIX = "N = 2\nb.prefix = 4 4 4 4\nt.prefix = 1 1 1 1\n"
 
 
 @pytest.fixture
@@ -57,6 +59,41 @@ def test_analyze_collision_still_reports(conf, capsys):
     assert code == 0
     assert "collision" in out
     assert "not applicable" in out
+
+
+def test_analyze_sums_a_short_prefix_to_its_horizon(conf, capsys):
+    code, out, err = run(capsys, ["analyze", conf(SHORT_PREFIX)])
+    assert code == 0
+    assert err == ""
+    assert "existence: undecided at depth 4\n" in out
+    assert out.splitlines()[-1].startswith("hypothesis: ")
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["analyze", "--window", "-3"], "--window"),
+        (["analyze", "--window", "0"], "--window"),
+        (["plot-data", "--what", "nu_tail", "--depth", "0"], "--depth"),
+        (["spectrum", "--depth", "0"], "--depth"),
+        (["verify", "unread.json", "--depth", "-1"], "--depth"),
+    ],
+    ids=["analyze-window-negative", "analyze-window-zero", "plot-depth-zero", "spectrum-depth-zero", "verify-depth-negative"],
+)
+def test_flags_below_one_are_usage_errors(conf, capsys, argv, flag):
+    command, *options = argv
+    code, out, err = run(capsys, [command, conf(SHORT_PREFIX), *options])
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: {flag}: expected a positive integer")
+
+
+def test_spectrum_has_no_window_flag(conf, capsys):
+    # block ends are found past any classification window
+    code, out, err = run(capsys, ["spectrum", conf(EX1), "--window", "5"])
+    assert code == 3
+    assert out == ""
+    assert "unrecognized arguments: --window 5" in err
 
 
 def test_parse_error_exits_three(conf, capsys):
@@ -202,6 +239,12 @@ _NINES = "<5,000 nines>"
         (SPECTRUM_CERT, lambda p: p.update(levels=[]), 1, "FAIL levels (the certificate lists no level)"),
         (SPECTRUM_CERT, lambda p: p.pop("levels"), 3, "'levels' must be a list"),
         (SPECTRUM_CERT, lambda p: p["levels"][0]["elements"].__setitem__(1, "5"), 3, "list of integers"),
+        (
+            SPECTRUM_CERT,
+            lambda p: p["levels"][0]["elements"].__setitem__(1, 0),
+            1,
+            "FAIL level-1-orthogonality (candidate spectra must have distinct elements)",
+        ),
         (TILE_CERT, lambda p: p.pop("complement_elements"), 3, "'complement_elements' must be a list of integers"),
         # 1.0 == 1, so only the parse-time check can tell this from the real set
         (TILE_CERT, _float_digit, 3, "'digit_elements' must be a list of integers"),
@@ -220,6 +263,7 @@ _NINES = "<5,000 nines>"
         "empty",
         "missing",
         "string-element",
+        "repeated-element",
         "tile-missing-complement",
         "tile-float-digit",
         "tile-string-k",
@@ -305,6 +349,16 @@ def test_spectrum_collision_refusal(conf, capsys):
     code, _, err = run(capsys, ["spectrum", conf(COLLIDER), "--levels", "1"])
     assert code == 1
     assert "collide" in err
+
+
+def test_spectrum_tail_refusal_is_a_limit(conf, capsys):
+    code, out, err = run(capsys, ["spectrum", conf(EX1 + "option.epsilon0 = 0.999\n"), "--levels", "1"])
+    assert code == 2
+    assert err == (
+        "limit: tail lower bound 0.9978 below epsilon0=0.999 at element 243; "
+        "increase depth or adjust thresholds\n"
+    )
+    assert "level 1" not in out
 
 
 def test_plot_mu_hat_rows_bounded(conf, capsys, tmp_path):

@@ -10,10 +10,13 @@ or refactored path has to write the very same bytes. The mu_hat digest
 was taken from the shifted grid at shift 0; its rows are checked against
 the exact rational evaluation below. The analyze digests were taken from
 the existence series summed over three general sequences, before it
-became the tail series that truncation uses.
+became the tail series that truncation uses. The verify-record digests
+were taken while the builder and the replay still ran their level
+checks separately.
 """
 
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -137,3 +140,34 @@ def test_mu_hat_rows_match_the_exact_transform(tmp_path, capsys, text):
     for line in out.read_text().splitlines()[1:]:
         x, value = map(float, line.split(","))
         assert abs(value - abs(mu_hat_k(system, 6, Fraction(x)))) <= 1e-14
+
+
+def _tamper(payload):
+    # one element moved and one stated tail bound raised
+    payload["levels"][-1]["elements"][-1] += 1
+    payload["levels"][0]["tail_bound"] += 1
+
+
+VERIFY_GOLDEN = [
+    (EX1, "4", None, 0, "745debe3f895d8e14c5d3d271273b937040f5df70ae31d6aac37fb7649279b65"),
+    (EX2, "2", None, 0, "609b0204b8aa7e2d552cf755130ffde1875f60c3760ef2108183c6c15177e3b9"),
+    (EX1, "2", _tamper, 1, "07f000340949643a8dae1f895317dd548477d1e28bc9d34e1eceac98e5d4504e"),
+]
+
+
+@pytest.mark.parametrize(
+    "text,levels,mutate,code,digest", VERIFY_GOLDEN, ids=["recurrent", "persistent", "tampered"]
+)
+def test_verify_record_is_pinned(tmp_path, capsys, text, levels, mutate, code, digest):
+    config = tmp_path / "system.conf"
+    config.write_text(text)
+    cert = tmp_path / "cert.json"
+    record = tmp_path / "record.json"
+    assert main(["spectrum", str(config), "--levels", levels, "--out", str(cert)]) == 0
+    if mutate is not None:
+        data = json.loads(cert.read_text())
+        mutate(data["payload"])
+        cert.write_text(json.dumps(data))
+    assert main(["verify", str(config), str(cert), "--out", str(record)]) == code
+    capsys.readouterr()
+    assert hashlib.sha256(record.read_bytes()).hexdigest() == digest

@@ -1,7 +1,9 @@
-"""Source checks that need no linter: every name a module imports is used.
+"""Source checks that need no linter: every name a module imports is
+used, and every import sits at module level.
 
 Deleting code tends to leave its imports behind. The package __init__
-imports names only to re-export them, so it is left out.
+imports names only to re-export them, so it is left out of the first
+check. An import inside a function hides a module's dependencies.
 """
 
 import ast
@@ -24,6 +26,17 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def function_imports(source: str) -> list:
+    tree = ast.parse(source)
+    return sorted(
+        (node.lineno, func.name)
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    )
+
+
 def test_unused_imports_are_found():
     source = "import os\nfrom math import pi, tau as turn\nimport numpy as np\nprint(pi, np.e)\n"
     assert unused_imports(source) == [(1, "os"), (2, "turn")]
@@ -33,4 +46,16 @@ def test_every_import_in_src_is_used():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert modules
     found = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in modules}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_function_imports_are_found():
+    source = "import os\n\ndef f():\n    from math import pi\n    def g():\n        import re\n"
+    # the nested import counts for both functions that hold it
+    assert function_imports(source) == [(4, "f"), (6, "f"), (6, "g")]
+
+
+def test_every_import_in_src_is_at_module_level():
+    modules = sorted(SRC.glob("*.py"))
+    found = {p.name: function_imports(p.read_text(encoding="utf-8")) for p in modules}
     assert {name: hits for name, hits in found.items() if hits} == {}

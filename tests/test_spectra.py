@@ -10,14 +10,14 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import prod
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from moran.errors import (
     DomainError,
-    HorizonError,
     MoranError,
     PreconditionError,
     ResourceError,
@@ -47,6 +47,7 @@ from moran.system import (
     MoranSystem,
     SequenceSpec,
     alpha_true,
+    breakpoint_predicate,
     case_classify,
     frak_n,
     normalize,
@@ -523,13 +524,68 @@ def test_wide_radius_still_certifies():
         assert verify_spectrum_finite(ex2n, lv.elements, lv.breakpoints[-1])
 
 
-def test_breakpoint_pool_exhaustion_is_horizon_error():
+def ref_pool_breakpoint(sys, case, last, m0, peak, sigma0):
+    """The first classified breakpoint past last and not below m0 whose
+    scale admits peak, or None once the classification window runs out."""
+    for k in case.breakpoints:
+        if k > last and k >= m0 and Fraction(peak, abs(sys.b_product(k))) <= sigma0:
+            return k
+    return None
+
+
+def test_block_end_is_found_past_the_classification_window():
+    # classified over a window of 4, this level's peak needs |B_k| >= 4 * 10^30
     ex1n = example_1(normalized=True)
     case = CaseI((2, 4), 4, 2)
     blk = build_block(ex1n, 0, 2, case, 0)
     prev = SpectrumLevel(1, (0, 2), (0, 10**30), blocks=(blk,))
-    with pytest.raises(HorizonError, match="larger window"):
-        _next_breakpoint(ex1n, case, prev, 1, SpectrumBuildParams())
+    k = _next_breakpoint(ex1n, case, prev, 1, SpectrumBuildParams())
+    assert k > 4
+    fits = [j for j in range(3, k + 1) if 4 * 10**30 <= ex1n.b_product(j) and breakpoint_predicate(ex1n, j)]
+    assert fits[0] == k
+
+
+@st.composite
+def case_one_systems(draw):
+    """A random normalized system whose later exponents dominate infinitely
+    often, and a classification window."""
+    N = draw(st.sampled_from([2, 3]))
+
+    def spec(entries):
+        return SequenceSpec.periodic(
+            draw(st.lists(entries, min_size=1, max_size=3)), preperiod=draw(st.lists(entries, max_size=2))
+        )
+
+    # a scale divisible by N in the period makes the exponents drift upward
+    scales = st.integers(2, 60) | st.integers(1, 20).map(lambda u: N * u)
+    work = normalize(MoranSystem(N, spec(scales), spec(st.integers(1, 30))))[0]
+    try:
+        case = case_classify(work, draw(st.integers(1, 30)))
+    except PreconditionError:  # colliding exponents
+        case = None
+    assume(isinstance(case, CaseI))
+    return work, case
+
+
+@settings(max_examples=150, deadline=None)
+@given(case_one_systems(), st.data())
+def test_block_end_rule_matches_the_classified_pool(system, data):
+    work, case = system
+    last = data.draw(st.integers(0, case.window))
+    m0 = data.draw(st.integers(1, case.window))
+    peak = data.draw(st.integers(0, 12).flatmap(lambda e: st.integers(1, 10**e)))
+    sigma0 = data.draw(st.fractions(Fraction(1, 10**6), 4))
+    prev = SimpleNamespace(breakpoints=(0, last) if last else (0,), elements=(0, peak))
+    k = _next_breakpoint(work, case, prev, m0, SpectrumBuildParams(sigma0=sigma0))
+    want = ref_pool_breakpoint(work, case, last, m0, peak, sigma0)
+    event("pool answered" if want is not None else "pool ran out")
+    if want is not None:
+        assert k == want
+    else:
+        # the pool ran out: the end lies past the window and is admissible
+        assert k > case.window
+        assert breakpoint_predicate(work, k)
+        assert Fraction(peak, work.b_product(k)) <= sigma0
 
 
 def test_build_spectrum_refuses_dominant_digits():
