@@ -23,7 +23,7 @@ from .certificates import (
     verification_certificate,
     verify_certificate,
 )
-from .config import _parse_grid, _parse_positive_int, load_config
+from .config import _parse_grid, _parse_positive_int, _parse_tolerance, load_config
 from .errors import (
     DomainError,
     HorizonError,
@@ -119,7 +119,7 @@ def cmd_analyze(cfg, args) -> int:
     else:
         scope = "all k" if check.certified_all else f"window {check.window} only"
         print(f"distinctness: pairwise distinct ({scope})")
-        case = case_classify(system, window)
+        case = case_classify(system, window, check)
         if isinstance(case, CaseI):
             bps = ", ".join(str(k) for k in case.breakpoints)
             print(
@@ -287,12 +287,8 @@ def cmd_plot_data(cfg, args) -> int:
         values = np.abs(mu_hat_shifted_grid(system, args.k, xs, 0))
         text = _csv(zip(xs, values), "x,value")
     elif args.what == "nu_tail":
-        tail = TailKernel(system, args.k, depth)
-        rows = []
-        for x in xs:
-            value, err = tail(float(x))
-            rows.append((float(x), abs(value), err))
-        text = _csv(rows, "x,value,err")
+        values, errs = TailKernel(system, args.k, depth).grid(xs)
+        text = _csv(zip(xs, np.hypot(values.real, values.imag), errs), "x,value,err")
     else:
         params = cfg.build_params(depth=args.depth)
         levels = build_spectrum(system, args.levels, params)
@@ -338,7 +334,7 @@ def _build_parser() -> _Parser:
     p.add_argument("config")
     p.add_argument("certificate")
     p.add_argument("--depth")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", default="1e-12")
     p.add_argument("--out")
     p.set_defaults(handler=cmd_verify)
 
@@ -358,7 +354,12 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         # flags follow the rules of the options they override
-        for flag, parse in (("grid", _parse_grid), ("window", _parse_positive_int), ("depth", _parse_positive_int)):
+        for flag, parse in (
+            ("grid", _parse_grid),
+            ("window", _parse_positive_int),
+            ("depth", _parse_positive_int),
+            ("tol", _parse_tolerance),
+        ):
             if getattr(args, flag, None) is not None:
                 setattr(args, flag, parse(getattr(args, flag), f"--{flag}"))
         cfg = load_config(args.config)

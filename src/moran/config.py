@@ -12,6 +12,7 @@ representation, so no float sneaks into a system definition.
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isfinite
 
 from .errors import DomainError, ParseError
 from .spectra import SpectrumBuildParams
@@ -45,6 +46,13 @@ def _parse_decimal(raw: str, where: str) -> float:
         raise ParseError(f"{where}: expected a decimal number, got {raw!r}") from None
 
 
+def _parse_tolerance(raw: str, where: str) -> float:
+    value = _parse_decimal(raw, where)
+    if not (isfinite(value) and value >= 0):
+        raise ParseError(f"{where}: expected a finite non-negative number, got {raw!r}")
+    return value
+
+
 def _parse_fraction(raw: str, where: str) -> Fraction:
     """Exact rational from a decimal string or a p/q literal."""
     try:
@@ -62,6 +70,9 @@ def _parse_grid(raw: str, where: str):
     count = _parse_int(parts[2], where)
     if count < 1:
         raise ParseError(f"{where}: grid needs at least one point")
+    # a finite span keeps every linspace point finite too
+    if not isfinite(stop - start):
+        raise ParseError(f"{where}: grid endpoints and their span must be finite, got {raw!r}")
     if not stop > start:
         raise ParseError(f"{where}: grid stop must exceed start")
     return (start, stop, count)

@@ -4,16 +4,17 @@ Single factors are short exponential sums, finite products give the
 level-k transform, and tails of the infinite product are truncated with
 an explicit error bound built on system._tail_ratio_sum, the exact tail
 series. Floats here are advisory; every PASS/FAIL style decision happens
-on integers and Fractions.
+on integers and Fractions. Every N-term sum starts at the d = 0 term's
+exact value 1, which has the bits exp(0) would give.
 """
 
 import cmath
 from fractions import Fraction
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedCaseError
+from .errors import DomainError, ResourceError, UnsupportedCaseError
 from .system import MoranSystem, _tail_ratio_sum, hypothesis_holds_from
 
 
@@ -23,14 +24,13 @@ def m_factor(N: int, t: int, x) -> complex:
     Exact rationals get their phases reduced modulo 1 before any float
     touches them, so huge arguments lose no precision.
     """
+    total = complex(1)
     if isinstance(x, (int, Fraction)):
         tx = Fraction(t) * x
-        total = 0j
-        for j in range(N):
+        for j in range(1, N):
             total += cmath.exp(2j * pi * float((j * tx) % 1))
         return total / N
-    total = 0j
-    for j in range(N):
+    for j in range(1, N):
         total += cmath.exp(2j * pi * j * t * x)
     return total / N
 
@@ -71,8 +71,8 @@ def mu_hat_shifted_grid(sys: MoranSystem, k: int, xs, shift: int) -> np.ndarray:
         except OverflowError:
             scale = 0.0
         theta = ratio + xs * scale
-        acc = np.zeros(xs.shape, dtype=complex)
-        for d in range(sys.N):
+        acc = np.ones(xs.shape, dtype=complex)
+        for d in range(1, sys.N):
             acc += np.exp(2j * pi * d * t * theta)
         out *= acc / sys.N
     return out
@@ -94,8 +94,8 @@ def _residue_product(N: int, factors, p: int, q: int) -> complex:
         step = t * p
         if den < 0:
             den, step = -den, -step
-        total = 0j
-        for j in range(N):
+        total = complex(1)
+        for j in range(1, N):
             total += cmath.exp(turn * (j * step % den / den))
         value *= total / N
     return value
@@ -131,14 +131,54 @@ class TailKernel:
 
         The bound comes from |exp(i theta) - 1| <= |theta| applied to
         every dropped factor, so it is proportional to |xi| and decays
-        with the full b product.
+        with the full b product. A float xi goes through grid.
         """
         if isinstance(xi, (int, Fraction)):
             return self.exact(xi.numerator, xi.denominator)
-        value = complex(1)
-        for t, B in self._factors:
-            value *= m_factor(self.N, t, xi / B)
-        return value, self._err_scale * abs(float(xi)) * self._ratio
+        values, errs = self.grid(np.array([xi], dtype=float))
+        return complex(values[0]), float(errs[0])
+
+    def grid(self, xs):
+        """(values, errs) at every float in xs, one factor at a time
+        across the whole grid.
+
+        Each point gets the bits of the per-point float product of
+        m_factor values: the same float operations in the same order,
+        with the complex sum and product kept as separate real and
+        imaginary arrays, because numpy's complex multiply rounds
+        differently from CPython's.
+        """
+        xs = np.asarray(xs, dtype=float)
+        top = float(np.abs(xs).max(initial=0.0))
+        re = np.ones(xs.shape)
+        im = np.zeros(xs.shape)
+        for n, (t, B) in enumerate(self._factors, start=1):
+            try:
+                scale = float(B)
+            except OverflowError:
+                raise ResourceError(
+                    f"float tail stops at factor {n} of {len(self._factors)}: its scale "
+                    f"product has {abs(B).bit_length()} bits, beyond float range; lower the depth"
+                ) from None
+            x = xs / scale
+            # rounding is monotone, so this is the largest phase below
+            if not isfinite((2 * pi * (self.N - 1) * t) * (top / scale)):
+                raise ResourceError(
+                    f"float tail phase overflows at factor {n} for |x| = {top:.6g}; "
+                    "use a grid nearer 0"
+                )
+            sum_re = np.ones(xs.shape)
+            sum_im = np.zeros(xs.shape)
+            for j in range(1, self.N):
+                theta = (2 * pi * j * t) * x
+                sum_re += np.cos(theta)
+                sum_im += np.sin(theta)
+            f_re = sum_re / self.N
+            f_im = sum_im / self.N
+            re, im = re * f_re - im * f_im, re * f_im + im * f_re
+        values = re.astype(complex)
+        values.imag = im
+        return values, self._err_scale * np.abs(xs) * self._ratio
 
     def exact(self, p: int, q: int):
         """(value, err) at the rational p/q, for integers p and q != 0,

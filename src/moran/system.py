@@ -406,16 +406,20 @@ def breakpoint_predicate(sys: MoranSystem, k: int) -> bool:
 
 
 def case_classify(
-    sys: MoranSystem, window: Optional[int] = None
+    sys: MoranSystem,
+    window: Optional[int] = None,
+    check: Union[Distinct, Collision, None] = None,
 ) -> Union[CaseI, CaseII, Undetermined]:
     """Classify the system by whether later s eventually dominate earlier s.
 
     Relies on the verdicts being eventually periodic: past the certification
     window both the running head maximum and the certified tail minimum gain
     exactly drift per period, so the pattern over one further period is the
-    pattern forever.
+    pattern forever. A caller that already holds the distinctness_check
+    verdict passes it as check, and the scan is not run again.
     """
-    check = distinctness_check(sys)
+    if check is None:
+        check = distinctness_check(sys)
     if isinstance(check, Collision):
         raise PreconditionError(
             f"s-values collide at ({check.i}, {check.j}); classification "

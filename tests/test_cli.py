@@ -8,6 +8,7 @@ import pytest
 
 import moran
 from moran.cli import main
+from moran.system import SSkeleton
 
 EX1 = "N = 2\nb.period = 18\nt.period = 1 4\n"
 EX2 = "N = 2\nb.period = 18\nt.period = 1 16\n"
@@ -70,22 +71,40 @@ def test_analyze_sums_a_short_prefix_to_its_horizon(conf, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,flag",
+    "argv,message",
     [
-        (["analyze", "--window", "-3"], "--window"),
-        (["analyze", "--window", "0"], "--window"),
-        (["plot-data", "--what", "nu_tail", "--depth", "0"], "--depth"),
-        (["spectrum", "--depth", "0"], "--depth"),
-        (["verify", "unread.json", "--depth", "-1"], "--depth"),
+        (["analyze", "--window", "-3"], "--window: expected a positive integer"),
+        (["analyze", "--window", "0"], "--window: expected a positive integer"),
+        (["plot-data", "--what", "nu_tail", "--depth", "0"], "--depth: expected a positive integer"),
+        (["spectrum", "--depth", "0"], "--depth: expected a positive integer"),
+        (["verify", "unread.json", "--depth", "-1"], "--depth: expected a positive integer"),
+        (["verify", "unread.json", "--tol", "nan"], "--tol: expected a finite non-negative number"),
     ],
-    ids=["analyze-window-negative", "analyze-window-zero", "plot-depth-zero", "spectrum-depth-zero", "verify-depth-negative"],
+    ids=[
+        "analyze-window-negative",
+        "analyze-window-zero",
+        "plot-depth-zero",
+        "spectrum-depth-zero",
+        "verify-depth-negative",
+        "verify-tol-nan",
+    ],
 )
-def test_flags_below_one_are_usage_errors(conf, capsys, argv, flag):
+def test_flags_below_one_are_usage_errors(conf, capsys, argv, message):
     command, *options = argv
     code, out, err = run(capsys, [command, conf(SHORT_PREFIX), *options])
     assert code == 3
     assert out == ""
-    assert err.startswith(f"error: {flag}: expected a positive integer")
+    assert err.startswith(f"error: {message}")
+
+
+def test_analyze_scans_distinctness_once(conf, capsys, monkeypatch):
+    calls = []
+    scan = SSkeleton.first_repeat
+    monkeypatch.setattr(SSkeleton, "first_repeat", lambda sk, n: calls.append(n) or scan(sk, n))
+    code, out, _ = run(capsys, ["analyze", conf(EX1)])
+    assert code == 0
+    assert "case I" in out
+    assert calls == [10]
 
 
 def test_spectrum_has_no_window_flag(conf, capsys):
@@ -401,6 +420,42 @@ def test_plot_nu_tail_err_shrinks_with_depth(conf, capsys, tmp_path):
     for (xs, _, es), (xd, _, ed) in zip(rows_s, rows_d):
         assert xs == xd
         assert float(ed) < float(es)
+
+
+def test_plot_deep_float_tail_is_a_limit(conf, capsys, tmp_path):
+    # 18^246 has no float, so the float tail refuses; the exact tail that
+    # spectrum evaluates takes the same depth
+    path = conf(EX1)
+    code, out, err = run(capsys, ["plot-data", path, "--what", "nu_tail", "--k", "2", "--depth", "300"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("limit: float tail stops at factor 246 of 300")
+    cert = tmp_path / "cert.json"
+    code, _, _ = run(capsys, ["spectrum", path, "--depth", "300", "--out", str(cert)])
+    assert code == 0
+    assert run(capsys, ["verify", path, str(cert), "--depth", "300"])[0] == 0
+
+
+def test_plot_float_tail_phase_overflow_is_a_limit(conf, capsys):
+    # finite grid points whose phase 2*pi*2*4*x/9 passes the float range
+    argv = ["plot-data", conf(TERNARY), "--what", "nu_tail", "--grid=1e308:1.7e308:2", "--depth", "2"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "limit: float tail phase overflows at factor 1 for |x| = 1.7e+308; use a grid nearer 0\n"
+
+
+@pytest.mark.parametrize(
+    "flag,option",
+    [("--grid=0:inf:3", ""), ("--grid=-inf:0:3", ""), ("--grid=-1e308:1e308:3", ""), (None, "option.grid = 0:inf:3\n")],
+    ids=["stop-inf", "start-inf", "span-overflows", "option"],
+)
+def test_non_finite_grids_are_usage_errors(conf, capsys, flag, option):
+    argv = ["plot-data", conf(EX1 + option), "--what", "nu_tail"]
+    code, out, err = run(capsys, argv + ([flag] if flag else []))
+    assert code == 3
+    assert out == ""
+    assert "grid endpoints and their span must be finite" in err
 
 
 def test_csv_output_is_deterministic(conf, capsys, tmp_path):

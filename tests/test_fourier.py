@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 from math import pi, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +41,43 @@ from zero_set_oracle import zero_set_component, zero_set_member
 def ref_m(N, t, x):
     # plain float summation of the defining exponential mean
     return sum(cmath.exp(2j * pi * j * t * x) for j in range(N)) / N
+
+
+def ref_m_exact(N, t, x):
+    # the Fraction path summed over all N terms, exp(0) included
+    return sum(cmath.exp(2j * pi * float((j * Fraction(t) * x) % 1)) for j in range(N)) / N
+
+
+def ref_point_tail(sys, k, M, x):
+    # the per-point float tail loop: a complex product in CPython
+    # arithmetic of full N-term sums, one grid point at a time
+    value = complex(1)
+    B = 1
+    for n in range(1, M + 1):
+        B *= sys.b_entry(k + n)
+        value *= ref_m(sys.N, sys.t_entry(k + n), x / B)
+    return value
+
+
+def ref_shifted_grid(sys, k, xs, shift):
+    # the shifted grid with every N-term sum started at zero, so the
+    # d = 0 term is evaluated as exp(0)
+    xs = np.asarray(xs, dtype=float)
+    out = np.ones(xs.shape, dtype=complex)
+    for j in range(1, k + 1):
+        B = sys.b_product(j)
+        t = sys.t_entry(j)
+        ratio = (shift % B) / B
+        try:
+            scale = 1.0 / float(B)
+        except OverflowError:
+            scale = 0.0
+        theta = ratio + xs * scale
+        acc = np.zeros(xs.shape, dtype=complex)
+        for d in range(sys.N):
+            acc += np.exp(2j * pi * d * t * theta)
+        out *= acc / sys.N
+    return out
 
 
 def ref_tail_partial(sys, k, M, depth):
@@ -74,6 +112,10 @@ def bits(pair):
     # exact float identity, telling -0.0 from 0.0
     value, err = pair
     return (value.real.hex(), value.imag.hex(), err.hex())
+
+
+def complex_bits(value):
+    return (float(value.real).hex(), float(value.imag).hex())
 
 
 # -- fixtures --------------------------------------------------------------
@@ -141,6 +183,22 @@ def test_m_factor_rational_matches_float_path(num, den, N, t):
     exact = m_factor(N, t, x)
     direct = ref_m(N, t, float(x))
     assert abs(exact - direct) < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(-40, 40),
+    st.one_of(
+        st.floats(-1e6, 1e6, allow_nan=False),
+        st.fractions(max_denominator=10**9).filter(lambda f: abs(f) < 10**20),
+        st.integers(-(10**20), 10**20),
+    ),
+)
+def test_m_factor_matches_the_all_terms_sum_bit_for_bit(N, t, x):
+    # the d = 0 term enters as its exact value 1, not as exp(0)
+    want = ref_m(N, t, x) if isinstance(x, float) else ref_m_exact(N, t, x)
+    assert complex_bits(m_factor(N, t, x)) == complex_bits(want)
 
 
 def test_factor_shift_periodicity_is_exact():
@@ -293,6 +351,38 @@ def test_tail_kernel_matches_reference_loop_bit_for_bit(sys, k, M, xi):
         # searches pass them, land on the same bits
         p, q = Fraction(xi).numerator, Fraction(xi).denominator
         assert bits(kernel.exact(-7 * p, -7 * q)) == want
+
+
+grid_floats = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e6, -1e6, 0.5, -999_999.75]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hypothesis_systems(), st.integers(0, 4), st.integers(0, 20), st.lists(grid_floats, min_size=1, max_size=12))
+def test_tail_grid_matches_the_per_point_loop_bit_for_bit(sys, k, M, xs):
+    kernel = TailKernel(sys, k, M)
+    values, errs = kernel.grid(np.array(xs))
+    for x, value, err in zip(xs, values, errs):
+        want = ref_point_tail(sys, k, M, x)
+        assert complex_bits(value) == complex_bits(want)
+        assert float(err).hex() == kernel(x)[1].hex()
+        # the modulus in real arithmetic is CPython's abs
+        assert float(np.hypot(value.real, value.imag)).hex() == abs(want).hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    hypothesis_systems(),
+    st.integers(0, 12),
+    st.one_of(st.integers(-1000, 1000), st.integers(-(10**30), 10**30)),
+    st.lists(grid_floats, min_size=1, max_size=12),
+)
+def test_shifted_grid_matches_the_all_terms_sum_bit_for_bit(sys, k, shift, xs):
+    got = mu_hat_shifted_grid(sys, k, xs, shift)
+    want = ref_shifted_grid(sys, k, xs, shift)
+    assert [complex_bits(v) for v in got] == [complex_bits(v) for v in want]
 
 
 def test_tail_kernel_checks_the_hypothesis_once_at_build():

@@ -12,7 +12,9 @@ the exact rational evaluation below. The analyze digests were taken from
 the existence series summed over three general sequences, before it
 became the tail series that truncation uses. The verify-record digests
 were taken while the builder and the replay still ran their level
-checks separately.
+checks separately. The signed nu_tail, benchmark-shaped Q and signed
+mu_hat digests were taken from the per-point tail loop and from N-term
+sums that still evaluated exp(0) for the d = 0 term.
 """
 
 import hashlib
@@ -79,6 +81,21 @@ GOLDEN = [
         ["tile", "--k", "4"],
         "c737ef49694001cc1a870a1dcc88f0182f84b3c2a0bc27ff6903f89ff2f79841",
     ),
+    (
+        SIGNED,
+        ["plot-data", "--what", "nu_tail", "--k", "2", "--grid=-500.5:300.25:2001"],
+        "2abe76ef7e8bd11e5b7bcdb0877a2d8d15c57feb9fbaf730718a6839def66ea5",
+    ),
+    (
+        EX1,
+        ["plot-data", "--what", "Q", "--levels", "3", "--grid=-3.7:-2.7:2000"],
+        "326d86355f7888aba784f72e070494b2ed7ee2845848061871080252812413ab",
+    ),
+    (
+        SIGNED,
+        ["plot-data", "--what", "mu_hat", "--k", "7", "--grid=-50:50:999"],
+        "075b56c1c626b15adb45b1b6d2af3f09cc47b4b26c697ddb59a920a859e5151d",
+    ),
 ]
 
 
@@ -95,6 +112,9 @@ GOLDEN = [
         "tile-alternating-deep",
         "tile-quarter",
         "tile-ternary",
+        "nu-tail-signed",
+        "q-benchmark-shape",
+        "mu-hat-signed",
     ],
 )
 def test_output_bytes_are_pinned(tmp_path, capsys, text, argv, digest):
