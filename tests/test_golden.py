@@ -12,7 +12,8 @@ the exact rational evaluation below. The analyze digests were taken from
 the existence series summed over three general sequences, before it
 became the tail series that truncation uses. The verify-record digests
 were taken while the builder and the replay still ran their level
-checks separately. The signed nu_tail, benchmark-shaped Q and signed
+checks separately; the tile ones while the replay reduced every element
+one by one and checked the cover residue by residue. The signed nu_tail, benchmark-shaped Q and signed
 mu_hat digests were taken from the per-point tail loop and from N-term
 sums that still evaluated exp(0) for the d = 0 term.
 """
@@ -168,22 +169,49 @@ def _tamper(payload):
     payload["levels"][0]["tail_bound"] += 1
 
 
+def _move_last_digit(payload):
+    payload["digit_elements"][-1] += 1
+
+
+def _move_last_complement(payload):
+    payload["complement_elements"][-1] += 1
+
+
 VERIFY_GOLDEN = [
-    (EX1, "4", None, 0, "745debe3f895d8e14c5d3d271273b937040f5df70ae31d6aac37fb7649279b65"),
-    (EX2, "2", None, 0, "609b0204b8aa7e2d552cf755130ffde1875f60c3760ef2108183c6c15177e3b9"),
-    (EX1, "2", _tamper, 1, "07f000340949643a8dae1f895317dd548477d1e28bc9d34e1eceac98e5d4504e"),
+    (EX1, ["spectrum", "--levels", "4"], None, 0, "745debe3f895d8e14c5d3d271273b937040f5df70ae31d6aac37fb7649279b65"),
+    (EX2, ["spectrum", "--levels", "2"], None, 0, "609b0204b8aa7e2d552cf755130ffde1875f60c3760ef2108183c6c15177e3b9"),
+    (EX1, ["spectrum", "--levels", "2"], _tamper, 1, "07f000340949643a8dae1f895317dd548477d1e28bc9d34e1eceac98e5d4504e"),
+    (EX1, ["tile", "--k", "12"], None, 0, "34f9dbe23302d9ee3b1c08be8cf41bbc8faf2866f7e58313ee9452fa2235d62a"),
+    (QUARTER, ["tile", "--k", "6"], None, 0, "4a66ad09ccbfe5c4f196ca7b6748b1cd8fa8c2de41b7a3b8fa36de6d4220354d"),
+    (TERNARY, ["tile", "--k", "4"], None, 0, "ef78f44ba08736dc19926a16fafebdd12c1f2f95dfb896e490d491774dbde043"),
+    # the stated digit list differs from the recomputed one, so the
+    # complement is judged against the stated list: both rows FAIL
+    (EX1, ["tile", "--k", "12"], _move_last_digit, 1, "f1b1540f106815d181fe50855cd35413d5d00d1209ed52b5e5611b16f1d852d7"),
+    (QUARTER, ["tile", "--k", "6"], _move_last_complement, 1, "85c8bd13ec9d053e1b4ba12b7b55f6d3ef889864b6a0f63e0533fdad454424fd"),
 ]
 
 
 @pytest.mark.parametrize(
-    "text,levels,mutate,code,digest", VERIFY_GOLDEN, ids=["recurrent", "persistent", "tampered"]
+    "text,argv,mutate,code,digest",
+    VERIFY_GOLDEN,
+    ids=[
+        "recurrent",
+        "persistent",
+        "tampered",
+        "tile-alternating",
+        "tile-quarter",
+        "tile-ternary",
+        "tile-digit-moved",
+        "tile-complement-moved",
+    ],
 )
-def test_verify_record_is_pinned(tmp_path, capsys, text, levels, mutate, code, digest):
+def test_verify_record_is_pinned(tmp_path, capsys, text, argv, mutate, code, digest):
     config = tmp_path / "system.conf"
     config.write_text(text)
     cert = tmp_path / "cert.json"
     record = tmp_path / "record.json"
-    assert main(["spectrum", str(config), "--levels", levels, "--out", str(cert)]) == 0
+    command, *options = argv
+    assert main([command, str(config), *options, "--out", str(cert)]) == 0
     if mutate is not None:
         data = json.loads(cert.read_text())
         mutate(data["payload"])
