@@ -17,7 +17,7 @@ from . import __version__
 from .errors import ParseError, PreconditionError
 from .spectra import SpectrumBuildParams, level_checks
 from .system import MoranSystem, normalize
-from .tiling import ELEMENT_CAP, aggregate, verify_tiling
+from .tiling import ELEMENT_CAP, aggregate, expansion_residues, verify_tiling
 
 KINDS = ("tile", "spectrum-level", "verification")
 
@@ -124,7 +124,7 @@ def verification_certificate(fingerprint: str, source_kind: str, report) -> dict
     }
 
 
-_RUN = 2**14  # integers per join, so a run's text is a small temporary
+_RUN = 2**14  # integers per encoder call, so a run's text is a small temporary
 
 
 def _pieces(value, pad: str):
@@ -143,7 +143,10 @@ def _pieces(value, pad: str):
         return
     if set(map(type, value)) == {int}:  # type(), as a bool is written true or false
         for at in range(0, len(value), _RUN):
-            yield (comma if at else "[\n" + inner) + comma.join(map(str, value[at : at + _RUN]))
+            # the C encoder with comma as its item separator: it prints an
+            # exact int as str does, so this is comma.join(map(str, run))
+            run = json.dumps(value[at : at + _RUN], separators=(comma, ": "))[1:-1]
+            yield (comma if at else "[\n" + inner) + run
     else:
         for n, item in enumerate(value):
             yield comma if n else "[\n" + inner
@@ -209,7 +212,12 @@ def _check_tile(payload, sys: MoranSystem, checks):
     checks.append(("exponents", tuple(payload["exponents"]) == agg.exponents, f"recomputed {list(agg.exponents)}"))
     complement = tuple(payload["complement_elements"])
     cells = len(stated) * len(complement)
-    tiles = cells == payload["modulus"] and verify_tiling(stated, complement, payload["modulus"])
+    # a stated list equal to a direct expansion is its N^k formal sums,
+    # whose residues come from the two halves; any other is judged as stated
+    expansion = match and agg.direct and payload["modulus"] == agg.modulus
+    tiles = cells == payload["modulus"] and verify_tiling(
+        expansion_residues(agg) if expansion else stated, complement, payload["modulus"]
+    )
     detail = None if cells == payload["modulus"] else f"|D| * |L| = {cells}, not the modulus"
     checks.append(("complement-tiles", tiles, detail))
 

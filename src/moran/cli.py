@@ -54,6 +54,7 @@ from .tiling import (
     ELEMENT_CAP,
     aggregate,
     build_complement,
+    expansion_residues,
     verify_tiling,
 )
 
@@ -187,7 +188,7 @@ def cmd_tile(cfg, args) -> int:
     cap = cfg.options.get("element_cap", ELEMENT_CAP)
     agg = aggregate(system, args.k, element_cap=cap)
     comp = build_complement(system, args.k)
-    if not verify_tiling(agg.elements, comp.elements, agg.modulus):
+    if not verify_tiling(expansion_residues(agg), comp.elements, agg.modulus):
         raise MoranError(
             "internal check failed: built complement does not tile; refusing to emit"
         )

@@ -46,6 +46,13 @@ def _parse_decimal(raw: str, where: str) -> float:
         raise ParseError(f"{where}: expected a decimal number, got {raw!r}") from None
 
 
+def _parse_finite(raw: str, where: str) -> float:
+    value = _parse_decimal(raw, where)
+    if not isfinite(value):
+        raise ParseError(f"{where}: expected a finite number, got {raw!r}")
+    return value
+
+
 def _parse_tolerance(raw: str, where: str) -> float:
     value = _parse_decimal(raw, where)
     if not (isfinite(value) and value >= 0):
@@ -83,8 +90,8 @@ _OPTION_PARSERS = {
     "depth": _parse_positive_int,
     "K": _parse_positive_int,
     "window": _parse_positive_int,
-    "C": _parse_decimal,
-    "epsilon0": _parse_decimal,
+    "C": _parse_finite,
+    "epsilon0": _parse_finite,
     "sigma0": _parse_fraction,
     "grid": _parse_grid,
 }

@@ -47,6 +47,16 @@ def mu_hat_k(sys: MoranSystem, k: int, xi) -> complex:
     return out
 
 
+def _check_phases(N: int, t: int, theta_top: float, n: int, what: str, top: float):
+    """Refuse factor n when a phase 2*pi*j*t*theta with j < N and
+    |theta| <= theta_top is not a finite float. Rounding is monotone,
+    so the largest phase is the one at j = N - 1 and theta_top."""
+    if not isfinite((2 * pi * (N - 1) * t) * theta_top):
+        raise ResourceError(
+            f"{what} phase overflows at factor {n} for |x| = {top:.6g}; use a grid nearer 0"
+        )
+
+
 def mu_hat_shifted_grid(sys: MoranSystem, k: int, xs, shift: int) -> np.ndarray:
     """Level-k transform at xs + shift for an integer shift, at full
     precision.
@@ -61,6 +71,7 @@ def mu_hat_shifted_grid(sys: MoranSystem, k: int, xs, shift: int) -> np.ndarray:
     if k < 0:
         raise DomainError(f"level must be >= 0, got {k}")
     shift = int(shift)
+    top = float(np.abs(xs).max(initial=0.0))
     out = np.ones(xs.shape, dtype=complex)
     for j in range(1, k + 1):
         B = sys.b_product(j)
@@ -70,6 +81,8 @@ def mu_hat_shifted_grid(sys: MoranSystem, k: int, xs, shift: int) -> np.ndarray:
             scale = 1.0 / float(B)
         except OverflowError:
             scale = 0.0
+        # ratio >= 0, so no |theta| is above ratio + top * scale
+        _check_phases(sys.N, t, ratio + top * scale, j, "float transform", top)
         theta = ratio + xs * scale
         acc = np.ones(xs.shape, dtype=complex)
         for d in range(1, sys.N):
@@ -161,12 +174,7 @@ class TailKernel:
                     f"product has {abs(B).bit_length()} bits, beyond float range; lower the depth"
                 ) from None
             x = xs / scale
-            # rounding is monotone, so this is the largest phase below
-            if not isfinite((2 * pi * (self.N - 1) * t) * (top / scale)):
-                raise ResourceError(
-                    f"float tail phase overflows at factor {n} for |x| = {top:.6g}; "
-                    "use a grid nearer 0"
-                )
+            _check_phases(self.N, t, top / scale, n, "float tail", top)
             sum_re = np.ones(xs.shape)
             sum_im = np.zeros(xs.shape)
             for j in range(1, self.N):

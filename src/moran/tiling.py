@@ -9,7 +9,8 @@ decision procedure.
 """
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
 from math import gcd, prod
 
 import numpy as np
@@ -20,7 +21,7 @@ from .system import MoranSystem
 ELEMENT_CAP = 2**24
 SEARCH_SIZE_CAP = 2**12
 # Cells per temporary of the exact-cover scatter: its working memory is
-# the one-byte residue table plus a few arrays of this many cells.
+# the table of two bytes per residue plus an array of this many cells.
 _CHUNK_CELLS = 2**18
 
 
@@ -31,7 +32,8 @@ class AggregateDigitSet:
     ``elements`` is sorted and deduplicated. The expansion is direct
     exactly when no two digit combinations produce the same integer;
     any values reached more than one way are listed in ``collisions``
-    as diagnostic evidence.
+    as diagnostic evidence. The N^k formal sums are ``h + l`` for every
+    ``h`` in ``high`` and ``l`` in ``low``.
     """
 
     k: int
@@ -40,6 +42,8 @@ class AggregateDigitSet:
     modulus: int
     direct: bool
     collisions: tuple = ()
+    high: tuple = field(default=(), repr=False, compare=False)
+    low: tuple = field(default=(), repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,10 @@ def _expand(sys: MoranSystem, first: int, last: int, scale: int = 1) -> list:
     return sums
 
 
+def _increasing(values) -> bool:
+    return all(map(operator.lt, values, islice(values, 1, None)))
+
+
 def aggregate(sys: MoranSystem, k: int, element_cap: int = ELEMENT_CAP) -> AggregateDigitSet:
     """Expand the first k digit sets into one set of integers.
 
@@ -89,11 +97,16 @@ def aggregate(sys: MoranSystem, k: int, element_cap: int = ELEMENT_CAP) -> Aggre
             f"level {k} expansion has {sys.N}^{k} formal sums, over the cap {element_cap}"
         )
     h = k // 2
-    high = _expand(sys, 1, h, prod(sys.b_entry(i) for i in range(h + 1, k + 1)))
-    low = _expand(sys, h + 1, k)
+    scale = prod(sys.b_entry(i) for i in range(h + 1, k + 1))
+    high = sorted(_expand(sys, 1, h, scale))
+    low = sorted(_expand(sys, h + 1, k))
     sums = [a + c for a in high for c in low]
-    sums.sort()
-    repeat = any(map(operator.eq, sums, sums[1:]))
+    # high holds multiples of scale: when neither half repeats and the low
+    # sums span less than |scale|, the sums are distinct and already sorted
+    ordered = low[-1] - low[0] < abs(scale) and _increasing(high) and _increasing(low)
+    if not ordered:
+        sums.sort()
+    repeat = not (ordered or _increasing(sums))
     # equal neighbours of the sorted list, each value once, in order
     collisions = tuple(dict.fromkeys(a for a, b in zip(sums, sums[1:]) if a == b)) if repeat else ()
     alphas = _alpha_exponents(sys, k)
@@ -104,6 +117,8 @@ def aggregate(sys: MoranSystem, k: int, element_cap: int = ELEMENT_CAP) -> Aggre
         modulus=sys.N ** (max(alphas) + 1),
         direct=not collisions,
         collisions=collisions,
+        high=tuple(high),
+        low=tuple(low),
     )
 
 
@@ -144,8 +159,36 @@ def build_complement(sys: MoranSystem, k: int) -> TilingComplement:
     return TilingComplement(k=k, elements=tuple(sorted(elements)), modulus=sys.N ** (top + 1))
 
 
+def _check_table_cap(modulus: int):
+    if modulus > ELEMENT_CAP:
+        raise ResourceError(
+            f"exact-cover check over modulus {modulus} is above the cap {ELEMENT_CAP}"
+        )
+
+
+def expansion_residues(agg: AggregateDigitSet) -> np.ndarray:
+    """Every formal sum of the expansion reduced modulo agg.modulus, as
+    an int64 array: one numpy outer add of the two reduced halves, so
+    only their 2·N^(k/2) integers are reduced one by one.
+
+    For a direct expansion this is the multiset agg.elements mod
+    agg.modulus. The residues serve the exact cover, so a modulus over
+    that check's cap is refused the same way.
+    """
+    modulus = agg.modulus
+    _check_table_cap(modulus)
+    high = np.array([x % modulus for x in agg.high], dtype=np.int64)
+    low = np.array([x % modulus for x in agg.low], dtype=np.int64)
+    sums = (high[:, None] + low).ravel()
+    sums[sums >= modulus] -= modulus
+    return sums
+
+
 def _residues(elements, modulus: int):
-    """Each element reduced once, exactly, into an int64 array."""
+    """Each element reduced once, exactly, into an int64 array; an int64
+    array is reduced in one numpy call."""
+    if isinstance(elements, np.ndarray) and elements.dtype == np.int64:
+        return elements % modulus
     try:
         return np.array([operator.index(x) % modulus for x in elements], dtype=np.int64)
     except TypeError as exc:
@@ -155,39 +198,34 @@ def _residues(elements, modulus: int):
 def verify_tiling(D, L, modulus: int) -> bool:
     """Exact-cover check: every residue is hit exactly once by D + L.
 
-    The check keeps one byte per residue, so a modulus above ELEMENT_CAP
-    is refused before that table is allocated. Sums are scattered into
-    the table a chunk of rows of the longer side at a time, each chunk
-    holding about _CHUNK_CELLS cells, so the working memory beyond the
-    table does not grow with |D|·|L|. A non-integer element raises
-    DomainError.
+    Each side is reduced once into [0, modulus), so every sum d + l lies
+    in [0, 2·modulus − 1) and is marked unreduced in a table of two
+    bytes per residue: a modulus above ELEMENT_CAP is refused before that
+    table is allocated. Sums are marked one element of the shorter side
+    at a time, over at most _CHUNK_CELLS elements of the longer side, so
+    the working memory beyond the table does not grow with |D|·|L|. The
+    table is then folded once. A non-integer element raises DomainError.
     """
-    D = tuple(D)
-    L = tuple(L)
+    D, L = (x if isinstance(x, np.ndarray) else tuple(x) for x in (D, L))
     if len(D) * len(L) != modulus:
         raise PreconditionError(
             f"|D| * |L| = {len(D) * len(L)} does not match the modulus {modulus}"
         )
     if modulus < 1:
         raise PreconditionError("an exact cover needs a modulus of at least 1")
-    if modulus > ELEMENT_CAP:
-        raise ResourceError(
-            f"exact-cover check over modulus {modulus} is above the cap {ELEMENT_CAP}"
-        )
+    _check_table_cap(modulus)
     rows, cols = (D, L) if len(D) >= len(L) else (L, D)
     rows = _residues(rows, modulus)
-    cols = _residues(cols, modulus)
-    seen = np.zeros(modulus, dtype=np.bool_)
-    step = max(1, _CHUNK_CELLS // len(cols))
-    for start in range(0, len(rows), step):
-        hit = rows[start : start + step, None] + cols
-        np.remainder(hit, modulus, out=hit)
-        if seen[hit].any():
-            return False
-        seen[hit] = True
-    # |D|·|L| = modulus cells: all residues hit iff none was hit twice,
-    # which also catches a repeat inside one chunk
-    return bool(seen.all())
+    table = np.zeros(2 * modulus, dtype=np.uint8)
+    for c in _residues(cols, modulus).tolist():
+        for start in range(0, len(rows), _CHUNK_CELLS):
+            table[rows[start : start + _CHUNK_CELLS] + c] = 1
+    # cell r now counts the marked sums r and r + modulus. There are
+    # |D|·|L| = modulus sums, so no cell is 0 exactly when each is 1,
+    # that is when no two sums agree modulo the modulus
+    folded = table[:modulus]
+    folded += table[modulus:]
+    return bool(folded.all())
 
 
 def _complement_at_modulus(D, N, modulus):

@@ -445,6 +445,31 @@ def test_plot_float_tail_phase_overflow_is_a_limit(conf, capsys):
     assert err == "limit: float tail phase overflows at factor 1 for |x| = 1.7e+308; use a grid nearer 0\n"
 
 
+def test_plot_mu_hat_phase_overflow_is_a_limit(conf, capsys):
+    # the same grid through the level-k transform: its phase 2*pi*2*4*x/9
+    # passes the float range at the first factor
+    argv = ["plot-data", conf(TERNARY), "--what", "mu_hat", "--k", "1", "--grid=1e308:1.7e308:2"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "limit: float transform phase overflows at factor 1 for |x| = 1.7e+308; use a grid nearer 0\n"
+
+
+@pytest.mark.parametrize(
+    "option",
+    ["option.epsilon0 = nan\n", "option.C = inf\n", "option.C = nan\n", "option.epsilon0 = -inf\n"],
+    ids=["epsilon0-nan", "C-inf", "C-nan", "epsilon0-minus-inf"],
+)
+def test_non_finite_thresholds_are_usage_errors(conf, capsys, option):
+    code, out, err = run(capsys, ["spectrum", conf(EX1 + option), "--levels", "2"])
+    assert code == 3
+    assert out == ""
+    key, raw = option.strip().split(" = ")
+    # after the config path and line number
+    assert err.startswith("error: ")
+    assert err.endswith(f": {key}: expected a finite number, got {raw!r}\n")
+
+
 @pytest.mark.parametrize(
     "flag,option",
     [("--grid=0:inf:3", ""), ("--grid=-inf:0:3", ""), ("--grid=-1e308:1e308:3", ""), (None, "option.grid = 0:inf:3\n")],

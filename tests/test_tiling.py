@@ -12,8 +12,9 @@ from collections import Counter
 from itertools import product as iter_product
 from math import prod
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moran.errors import DomainError, PreconditionError, ResourceError
@@ -23,6 +24,7 @@ from moran.tiling import (
     aggregate,
     brute_force_complement_search,
     build_complement,
+    expansion_residues,
     tijdeman_scale_check,
     tile_predicate,
     verify_tiling,
@@ -152,6 +154,39 @@ def test_aggregate_split_matches_the_level_loop(data, N, small):
     assert (agg.elements, agg.direct, agg.collisions) == ref_aggregate(sys, k)
 
 
+def signed_sequence(data, entries):
+    # a period of 1-3 entries after a preperiod of 0-2
+    pre = data.draw(st.lists(entries, max_size=2))
+    return SequenceSpec.periodic(data.draw(st.lists(entries, min_size=1, max_size=3)), preperiod=pre)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), N=st.sampled_from([2, 3, 5]), small=st.booleans())
+def test_expansion_residues_are_the_expansion_mod_the_modulus(data, N, small):
+    k = data.draw(st.integers(1, DEEPEST[N]))
+    bs = signed_sequence(data, st.sampled_from([2, -2, 3, -3]) if small else SIGNED_B)
+    ts = signed_sequence(data, st.integers(-4, 4).filter(bool) if small else SIGNED_T)
+    sys = MoranSystem(N, bs, ts)
+    agg = aggregate(sys, k)
+    modulus = agg.modulus
+    assume(modulus <= ELEMENT_CAP)
+    got = expansion_residues(agg)
+    assert got.dtype == np.int64
+    got = sorted(got.tolist())
+    # the multiset of all N^k formal sums, repeats included
+    assert got == sorted(x % modulus for x in ref_aggregate_multiset(sys, k))
+    if agg.direct:
+        assert got == sorted(x % modulus for x in agg.elements)
+
+
+def test_expansion_residues_refuse_a_modulus_over_the_cap():
+    # four sums, but residues modulo 2^31 are past the exact cover's table
+    agg = aggregate(prefix_system(2, [2, 2**30], [1, 1]), 2)
+    assert agg.modulus == 2**31
+    with pytest.raises(ResourceError, match="above the cap"):
+        expansion_residues(agg)
+
+
 def test_aggregate_resource_cap():
     with pytest.raises(ResourceError):
         aggregate(prefix_system(2, [4, 4], [1, 2]), 2, element_cap=3)
@@ -258,22 +293,35 @@ LIFTS = st.sampled_from([0, 1, -1, 2**63, -(2**63), 2**64 + 5]) | st.integers(-(
 @given(data=st.data(), a=st.integers(1, 12), b=st.integers(1, 12))
 def test_verify_tiling_agrees_with_the_cell_loop(data, a, b):
     # |D| and |L| each range over 1..12, so both may be the longer side,
-    # and small moduli make repeated elements and accidental covers common
+    # and small moduli make repeated elements and accidental covers common;
+    # residues drawn from a pool of at most three make repeats within a
+    # side and across the two sides commoner still
     modulus = a * b
-    element = st.builds(lambda r, q: r + q * modulus, st.integers(0, modulus - 1), LIFTS)
+    pool = data.draw(st.lists(st.integers(0, modulus - 1), min_size=1, max_size=3))
+    residue = st.integers(0, modulus - 1) | st.sampled_from(pool)
+    element = st.builds(lambda r, q: r + q * modulus, residue, LIFTS)
     D = data.draw(st.lists(element, min_size=a, max_size=a))
     L = data.draw(st.lists(element, min_size=b, max_size=b))
-    assert verify_tiling(D, L, modulus) == ref_verify_tiling(D, L, modulus)
+    want = ref_verify_tiling(D, L, modulus)
+    assert verify_tiling(D, L, modulus) == want
+    assert verify_tiling(L, D, modulus) == want
+    # an int64 array is reduced in one numpy call, to the same verdict
+    if all(-(2**63) <= x < 2**63 for x in D):
+        assert verify_tiling(np.array(D, dtype=np.int64), L, modulus) == want
+        assert verify_tiling(L, np.array(D, dtype=np.int64), modulus) == want
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), a=st.integers(1, 40), b=st.integers(1, 40), moved=st.booleans())
 def test_verify_tiling_on_lifted_tilings_with_one_element_moved(data, a, b, moved):
-    # range(a) + a*range(b) covers the residues mod a*b exactly once
+    # range(a) + a*range(b) covers the residues mod a*b exactly once, and
+    # so does it with D shifted by some s and L by -s, whose reduced sums
+    # then reach past the modulus
     modulus = a * b
+    shift = data.draw(st.integers(0, modulus - 1))
     lifts = data.draw(st.lists(LIFTS, min_size=a + b, max_size=a + b))
-    D = [i + q * modulus for i, q in zip(range(a), lifts)]
-    L = [a * j + q * modulus for j, q in zip(range(b), lifts[a:])]
+    D = [i + shift + q * modulus for i, q in zip(range(a), lifts)]
+    L = [a * j - shift + q * modulus for j, q in zip(range(b), lifts[a:])]
     if moved:
         side = data.draw(st.sampled_from([D, L]))
         at = data.draw(st.integers(0, len(side) - 1))
