@@ -10,14 +10,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Optional
 
 from . import __version__
 from .errors import ParseError, PreconditionError
 from .spectra import SpectrumBuildParams, level_checks
 from .system import MoranSystem, normalize
-from .tiling import ELEMENT_CAP, aggregate, expansion_residues, verify_tiling
+from .tiling import ELEMENT_CAP, aggregate, tile_checks
 
 KINDS = ("tile", "spectrum-level", "verification")
 
@@ -34,11 +33,8 @@ def _fraction_text(value: Fraction) -> str:
 
 
 def tile_certificate(fingerprint: str, agg, comp) -> dict:
-    """Package a verified level-k tiling: digit set, complement, modulus."""
-    if not agg.direct:
-        raise PreconditionError("only direct expansions are certified")
-    if agg.k != comp.k or agg.modulus != comp.modulus:
-        raise PreconditionError("digit set and complement describe different levels")
+    """Package a level-k tiling: digit set, complement, modulus. The
+    caller checks the payload with tiling.tile_checks before writing it."""
     return {
         "kind": "tile",
         "fingerprint": fingerprint,
@@ -186,40 +182,9 @@ class VerificationReport:
 
 
 def _check_tile(payload, sys: MoranSystem, checks):
-    payload = _tile_payload(payload)
-    k = payload["k"]
-    agg = aggregate(sys, k)
-    stated = tuple(payload["digit_elements"])
-    match = stated == agg.elements
-    # a permutation or a repeat may differ only in position
-    pairs = enumerate(zip_longest(stated, agg.elements))
-    detail = None if match else f"first difference at index {next(i for i, (a, b) in pairs if a != b)}"
-    checks.append(("digit-set", match, detail))
-    checks.append(
-        (
-            "direct-sum",
-            agg.direct,
-            f"value {agg.collisions[0]} reached twice" if agg.collisions else None,
-        )
-    )
-    checks.append(
-        (
-            "modulus",
-            payload["modulus"] == agg.modulus,
-            f"recomputed {agg.modulus}",
-        )
-    )
-    checks.append(("exponents", tuple(payload["exponents"]) == agg.exponents, f"recomputed {list(agg.exponents)}"))
-    complement = tuple(payload["complement_elements"])
-    cells = len(stated) * len(complement)
-    # a stated list equal to a direct expansion is its N^k formal sums,
-    # whose residues come from the two halves; any other is judged as stated
-    expansion = match and agg.direct and payload["modulus"] == agg.modulus
-    tiles = cells == payload["modulus"] and verify_tiling(
-        expansion_residues(agg) if expansion else stated, complement, payload["modulus"]
-    )
-    detail = None if cells == payload["modulus"] else f"|D| * |L| = {cells}, not the modulus"
-    checks.append(("complement-tiles", tiles, detail))
+    p = _tile_payload(payload)
+    agg = aggregate(sys, p["k"])
+    checks.extend(tile_checks(agg, p["digit_elements"], p["complement_elements"], p["modulus"], p["exponents"]))
 
 
 def _is_int(value) -> bool:

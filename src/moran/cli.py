@@ -50,13 +50,7 @@ from .system import (
     s_value,
     spectral_hypothesis_check,
 )
-from .tiling import (
-    ELEMENT_CAP,
-    aggregate,
-    build_complement,
-    expansion_residues,
-    verify_tiling,
-)
+from .tiling import aggregate, build_complement, tile_checks
 
 EXIT_OK = 0
 EXIT_REFUSAL = 1
@@ -185,23 +179,22 @@ def cmd_tile(cfg, args) -> int:
             "is not an integer tile"
         )
         return EXIT_REFUSAL
-    cap = cfg.options.get("element_cap", ELEMENT_CAP)
-    agg = aggregate(system, args.k, element_cap=cap)
-    comp = build_complement(system, args.k)
-    if not verify_tiling(expansion_residues(agg), comp.elements, agg.modulus):
-        raise MoranError(
-            "internal check failed: built complement does not tile; refusing to emit"
-        )
+    agg = aggregate(system, args.k)
+    cert = tile_certificate(fp, agg, build_complement(system, args.k))
+    p = cert["payload"]
+    rows = tile_checks(agg, p["digit_elements"], p["complement_elements"], p["modulus"], p["exponents"])
+    failed = [name for name, ok, _ in rows if not ok]
+    if failed:
+        raise MoranError(f"built tile fails its checks ({', '.join(failed)}); refusing to emit")
     print(
         f"tiling at level {args.k}: direct expansion with {len(agg.elements)} "
         f"elements, modulus {agg.modulus}"
     )
     print(
-        f"complement: {len(comp.elements)} elements; verified to tile all "
+        f"complement: {len(p['complement_elements'])} elements; verified to tile all "
         f"residues at that modulus"
     )
     if args.out:
-        cert = tile_certificate(fp, agg, comp)
         _emit(dumps(cert), args.out, "certificate")
     return EXIT_OK
 

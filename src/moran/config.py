@@ -86,7 +86,6 @@ def _parse_grid(raw: str, where: str):
 
 
 _OPTION_PARSERS = {
-    "element_cap": _parse_positive_int,
     "depth": _parse_positive_int,
     "K": _parse_positive_int,
     "window": _parse_positive_int,

@@ -24,27 +24,13 @@ def m_factor(N: int, t: int, x) -> complex:
     Exact rationals get their phases reduced modulo 1 before any float
     touches them, so huge arguments lose no precision.
     """
-    total = complex(1)
-    if isinstance(x, (int, Fraction)):
-        tx = Fraction(t) * x
-        for j in range(1, N):
-            total += cmath.exp(2j * pi * float((j * tx) % 1))
-        return total / N
-    for j in range(1, N):
-        total += cmath.exp(2j * pi * j * t * x)
-    return total / N
+    return _product(N, ((t, 1),), x, "float transform")
 
 
 def mu_hat_k(sys: MoranSystem, k: int, xi) -> complex:
     """Level-k transform value: product of the first k factors at xi."""
-    out = complex(1)
-    exact = isinstance(xi, (int, Fraction))
-    for j in range(1, k + 1):
-        B = sys.b_product(j)
-        t = sys.t_entry(j)
-        arg = Fraction(xi, B) if exact else xi / B
-        out *= m_factor(sys.N, t, arg)
-    return out
+    factors = [(sys.t_entry(j), sys.b_product(j)) for j in range(1, k + 1)]
+    return _product(sys.N, factors, xi, "float transform")
 
 
 def _check_phases(N: int, t: int, theta_top: float, n: int, what: str, top: float):
@@ -114,6 +100,52 @@ def _residue_product(N: int, factors, p: int, q: int) -> complex:
     return value
 
 
+def _float_product(N: int, factors, xs, what: str) -> np.ndarray:
+    """Product of m_factor(N, t, x/B) over the integer pairs (t, B) in
+    factors at every float x in xs, one factor at a time across the array.
+
+    Each point gets the bits of the per-point float product of m_factor
+    values: the same float operations in the same order, with the complex
+    sum and product kept as separate real and imaginary arrays, because
+    numpy's complex multiply rounds differently from CPython's. A scale
+    product past the float range is a ResourceError naming the factor.
+    """
+    top = float(np.abs(xs).max(initial=0.0))
+    re = np.ones(xs.shape)
+    im = np.zeros(xs.shape)
+    for n, (t, B) in enumerate(factors, start=1):
+        try:
+            scale = float(B)
+        except OverflowError:
+            raise ResourceError(
+                f"{what} stops at factor {n} of {len(factors)}: its scale "
+                f"product has {abs(B).bit_length()} bits, beyond float range; lower the depth"
+            ) from None
+        x = xs / scale
+        _check_phases(N, t, top / scale, n, what, top)
+        sum_re = np.ones(xs.shape)
+        sum_im = np.zeros(xs.shape)
+        for j in range(1, N):
+            theta = (2 * pi * j * t) * x
+            sum_re += np.cos(theta)
+            sum_im += np.sin(theta)
+        f_re = sum_re / N
+        f_im = sum_im / N
+        re, im = re * f_re - im * f_im, re * f_im + im * f_re
+    values = re.astype(complex)
+    values.imag = im
+    return values
+
+
+def _product(N: int, factors, xi, what: str) -> complex:
+    """Product of m_factor(N, t, xi/B) over the pairs (t, B) in factors:
+    from exact residues for an int or Fraction xi, else from the float
+    product."""
+    if isinstance(xi, (int, Fraction)):
+        return _residue_product(N, factors, xi.numerator, xi.denominator)
+    return complex(_float_product(N, factors, np.array([xi], dtype=float), what)[0])
+
+
 class TailKernel:
     """The truncated tail transform past level k, set up once for reuse.
 
@@ -144,49 +176,16 @@ class TailKernel:
 
         The bound comes from |exp(i theta) - 1| <= |theta| applied to
         every dropped factor, so it is proportional to |xi| and decays
-        with the full b product. A float xi goes through grid.
+        with the full b product.
         """
-        if isinstance(xi, (int, Fraction)):
-            return self.exact(xi.numerator, xi.denominator)
-        values, errs = self.grid(np.array([xi], dtype=float))
-        return complex(values[0]), float(errs[0])
+        value = _product(self.N, self._factors, xi, "float tail")
+        return value, self._err_scale * abs(float(xi)) * self._ratio
 
     def grid(self, xs):
-        """(values, errs) at every float in xs, one factor at a time
-        across the whole grid.
-
-        Each point gets the bits of the per-point float product of
-        m_factor values: the same float operations in the same order,
-        with the complex sum and product kept as separate real and
-        imaginary arrays, because numpy's complex multiply rounds
-        differently from CPython's.
-        """
+        """(values, errs) at every float in xs, from the float product
+        (_float_product)."""
         xs = np.asarray(xs, dtype=float)
-        top = float(np.abs(xs).max(initial=0.0))
-        re = np.ones(xs.shape)
-        im = np.zeros(xs.shape)
-        for n, (t, B) in enumerate(self._factors, start=1):
-            try:
-                scale = float(B)
-            except OverflowError:
-                raise ResourceError(
-                    f"float tail stops at factor {n} of {len(self._factors)}: its scale "
-                    f"product has {abs(B).bit_length()} bits, beyond float range; lower the depth"
-                ) from None
-            x = xs / scale
-            _check_phases(self.N, t, top / scale, n, "float tail", top)
-            sum_re = np.ones(xs.shape)
-            sum_im = np.zeros(xs.shape)
-            for j in range(1, self.N):
-                theta = (2 * pi * j * t) * x
-                sum_re += np.cos(theta)
-                sum_im += np.sin(theta)
-            f_re = sum_re / self.N
-            f_im = sum_im / self.N
-            re, im = re * f_re - im * f_im, re * f_im + im * f_re
-        values = re.astype(complex)
-        values.imag = im
-        return values, self._err_scale * np.abs(xs) * self._ratio
+        return _float_product(self.N, self._factors, xs, "float tail"), self._err_scale * np.abs(xs) * self._ratio
 
     def exact(self, p: int, q: int):
         """(value, err) at the rational p/q, for integers p and q != 0,

@@ -61,12 +61,14 @@ class SpectrumBuildParams:
     depth: int = 16
 
     def __post_init__(self):
-        if self.C <= 0 or self.epsilon0 <= 0:
-            raise DomainError("thresholds must be positive")
+        # chained comparisons, so nan fails them and a Fraction or a huge
+        # int is compared exactly rather than converted to a float
+        if not (0 < self.C < math.inf and 0 < self.epsilon0 < math.inf):
+            raise DomainError("thresholds must be positive and finite")
         if self.K < 1 or self.depth < 1:
             raise DomainError("search window and depth must be >= 1")
-        if self.sigma0 <= 0:
-            raise DomainError("the neighborhood radius must be positive")
+        if not 0 < self.sigma0 < math.inf:
+            raise DomainError("the neighborhood radius must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ decision procedure.
 
 import operator
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, zip_longest
 from math import gcd, prod
 
 import numpy as np
@@ -81,20 +81,20 @@ def _increasing(values) -> bool:
     return all(map(operator.lt, values, islice(values, 1, None)))
 
 
-def aggregate(sys: MoranSystem, k: int, element_cap: int = ELEMENT_CAP) -> AggregateDigitSet:
+def aggregate(sys: MoranSystem, k: int) -> AggregateDigitSet:
     """Expand the first k digit sets into one set of integers.
 
-    The expansion has N^k formal sums, so a cap guards against runaway
-    growth before anything is allocated. Since N >= 2, N^k is over the
-    cap once k reaches its bit length, so a huge k is refused before
-    N^k is computed. Split at h = k // 2, each sum is one of levels 1..h times
+    The expansion has N^k formal sums, so ELEMENT_CAP guards against
+    runaway growth before anything is allocated. Since N >= 2, N^k is
+    over the cap once k reaches its bit length, so a huge k is refused
+    before N^k is computed. Split at h = k // 2, each sum is one of levels 1..h times
     b_{h+1} ... b_k plus one of levels h+1..k: one addition, not k multiply-adds.
     """
     if k < 1:
         raise PreconditionError("aggregate requires k >= 1")
-    if k >= element_cap.bit_length() or sys.N**k > element_cap:
+    if k >= ELEMENT_CAP.bit_length() or sys.N**k > ELEMENT_CAP:
         raise ResourceError(
-            f"level {k} expansion has {sys.N}^{k} formal sums, over the cap {element_cap}"
+            f"level {k} expansion has {sys.N}^{k} formal sums, over the cap {ELEMENT_CAP}"
         )
     h = k // 2
     scale = prod(sys.b_entry(i) for i in range(h + 1, k + 1))
@@ -226,6 +226,34 @@ def verify_tiling(D, L, modulus: int) -> bool:
     folded = table[:modulus]
     folded += table[modulus:]
     return bool(folded.all())
+
+
+def tile_checks(agg: AggregateDigitSet, digits, complement, modulus: int, exponents) -> list:
+    """The checks every certified tile passes, for the builder and the
+    certificate replay alike: the (name, ok, detail) rows digit-set,
+    direct-sum, modulus and exponents against the recomputed expansion
+    agg, then complement-tiles, the exact cover by the stated lists."""
+    digits, complement = tuple(digits), tuple(complement)
+    match = digits == agg.elements
+    # a permutation or a repeat may differ only in position
+    pairs = enumerate(zip_longest(digits, agg.elements))
+    detail = None if match else f"first difference at index {next(i for i, (a, b) in pairs if a != b)}"
+    rows = [
+        ("digit-set", match, detail),
+        ("direct-sum", agg.direct, f"value {agg.collisions[0]} reached twice" if agg.collisions else None),
+        ("modulus", modulus == agg.modulus, f"recomputed {agg.modulus}"),
+        ("exponents", tuple(exponents) == agg.exponents, f"recomputed {list(agg.exponents)}"),
+    ]
+    cells = len(digits) * len(complement)
+    # a stated list equal to a direct expansion is its N^k formal sums,
+    # whose residues come from the two halves; any other is judged as stated
+    expansion = match and agg.direct and modulus == agg.modulus
+    tiles = cells == modulus and verify_tiling(
+        expansion_residues(agg) if expansion else digits, complement, modulus
+    )
+    detail = None if cells == modulus else f"|D| * |L| = {cells}, not the modulus"
+    rows.append(("complement-tiles", tiles, detail))
+    return rows
 
 
 def _complement_at_modulus(D, N, modulus):

@@ -3,6 +3,7 @@
 import json
 import time
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -127,7 +128,9 @@ def test_missing_config_exits_three(capsys, tmp_path):
     assert "cannot read" in err
 
 
-@pytest.mark.parametrize("line", ["option.theta0 = 1/3", "option.tol = 1e-9", "option.out = x.json"])
+@pytest.mark.parametrize(
+    "line", ["option.theta0 = 1/3", "option.tol = 1e-9", "option.out = x.json", "option.element_cap = 4"]
+)
 def test_unread_options_are_unknown(conf, capsys, line):
     code, _, err = run(capsys, ["analyze", conf(EX1 + line + "\n")])
     assert code == 3
@@ -179,10 +182,30 @@ def test_tile_k_zero_is_usage(conf, capsys):
 
 
 def test_tile_cap_exhaustion_exits_two(conf, capsys):
-    cfg = conf(TILE_ONLY + "option.element_cap = 4\n")
-    code, _, err = run(capsys, ["tile", cfg, "--k", "5"])
+    # 2^25 formal sums are over the element cap: refused before any is formed
+    start = time.perf_counter()
+    code, _, err = run(capsys, ["tile", conf(QUARTER), "--k", "25"])
+    assert time.perf_counter() - start < 1
     assert code == 2
     assert "cap" in err
+
+
+def test_tile_refuses_to_emit_when_its_own_check_fails(conf, capsys, tmp_path, monkeypatch):
+    built = moran.cli.build_complement
+
+    def moved(system, k):
+        comp = built(system, k)
+        # the last element one step on: the same size, no longer an exact cover
+        return replace(comp, elements=comp.elements[:-1] + (comp.elements[-1] + 1,))
+
+    monkeypatch.setattr(moran.cli, "build_complement", moved)
+    cert = tmp_path / "tile.json"
+    code, out, err = run(capsys, ["tile", conf(QUARTER), "--k", "3", "--out", str(cert)])
+    assert code == 1
+    assert "complement-tiles" in err
+    assert "digit-set" not in err
+    assert "verified" not in out
+    assert not cert.exists()
 
 
 def test_spectrum_round_trip(conf, capsys, tmp_path):

@@ -79,13 +79,11 @@ def test_semantic_errors_become_parse_errors():
 
 def test_option_typing():
     text = EX1_TEXT + (
-        "option.element_cap = 4096\n"
         "option.C = 1e-3\n"
         "option.sigma0 = 0.25\n"
         "option.grid = 0:1:100\n"
     )
     cfg = parse_config_text(text)
-    assert cfg.options["element_cap"] == 4096
     assert cfg.options["C"] == 1e-3
     assert cfg.options["sigma0"] == Fraction(1, 4)
     assert cfg.options["grid"] == (0.0, 1.0, 100)

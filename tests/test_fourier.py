@@ -91,14 +91,16 @@ def ref_tail_partial(sys, k, M, depth):
 
 def ref_tail(sys, k, xi, M):
     # the per-call tail loop: a Fraction argument per factor, reduced
-    # modulo 1 inside m_factor, and the ratio sum recomputed every call
+    # modulo 1 inside ref_m_exact, and the ratio sum recomputed every call
     exact = isinstance(xi, (int, Fraction))
     value = complex(1)
     B = 1
     for n in range(1, M + 1):
         B *= sys.b_entry(k + n)
-        arg = Fraction(xi, B) if exact else xi / B
-        value *= m_factor(sys.N, sys.t_entry(k + n), arg)
+        if exact:
+            value *= ref_m_exact(sys.N, sys.t_entry(k + n), Fraction(xi, B))
+        else:
+            value *= ref_m(sys.N, sys.t_entry(k + n), xi / B)
     err = pi * (sys.N - 1) * abs(float(xi)) * float(_tail_ratio_sum(sys, k, M))
     return value, err
 

@@ -1,5 +1,6 @@
 """Source checks that need no linter: every name a module imports is
-used, and every import sits at module level.
+used, every import sits at module level, and the README names exactly
+the config options the parser knows.
 
 Deleting code tends to leave its imports behind. The package __init__
 imports names only to re-export them, so it is left out of the first
@@ -7,9 +8,13 @@ check. An import inside a function hides a module's dependencies.
 """
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "moran"
+from moran.config import _OPTION_PARSERS
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "moran"
 
 
 def unused_imports(source: str) -> list:
@@ -59,3 +64,11 @@ def test_every_import_in_src_is_at_module_level():
     modules = sorted(SRC.glob("*.py"))
     found = {p.name: function_imports(p.read_text(encoding="utf-8")) for p in modules}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_readme_lists_exactly_the_known_options():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"Recognized `option\.` keys are (.*?);", readme, re.DOTALL)
+    assert sentence, "README lost its list of option keys"
+    listed = re.findall(r"`([^`]+)`", sentence.group(1))
+    assert sorted(listed) == sorted(_OPTION_PARSERS)

@@ -151,6 +151,24 @@ def test_params_validation():
         SpectrumBuildParams(depth=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"C": math.nan, "epsilon0": math.nan},
+        {"C": math.nan},
+        {"C": math.inf},
+        {"epsilon0": math.nan},
+        {"epsilon0": math.inf},
+        {"sigma0": math.nan},
+        {"sigma0": math.inf},
+    ],
+    ids=["both-nan", "C-nan", "C-inf", "epsilon0-nan", "epsilon0-inf", "sigma0-nan", "sigma0-inf"],
+)
+def test_params_refuse_non_finite_thresholds(kwargs):
+    with pytest.raises(DomainError, match="finite"):
+        SpectrumBuildParams(**kwargs)
+
+
 def test_block_dataclass_invariants():
     SpectrumBlock(0, 1, (1,), (0, 2), 1, offsets=(0, 3))
     with pytest.raises(DomainError):

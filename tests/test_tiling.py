@@ -188,8 +188,16 @@ def test_expansion_residues_refuse_a_modulus_over_the_cap():
 
 
 def test_aggregate_resource_cap():
-    with pytest.raises(ResourceError):
-        aggregate(prefix_system(2, [4, 4], [1, 2]), 2, element_cap=3)
+    # 2^25 formal sums are over ELEMENT_CAP: refused before any is formed
+    sys = prefix_system(2, [4] * 25, [1] * 25)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="over the cap"):
+            aggregate(sys, 25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
     with pytest.raises(PreconditionError):
         aggregate(prefix_system(2, [4], [1]), 0)
 
