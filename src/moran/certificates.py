@@ -212,7 +212,8 @@ def _tile_payload(payload) -> dict:
 
 def _spectrum_levels(payload, N: int) -> list:
     """The payload's level records, after checking every field the replay
-    reads; a malformed record is a parse error, not a failed check."""
+    reads, the level numbers, nested breakpoints and stated outcomes; a
+    malformed record is a parse error, not a failed check."""
     for key in ("scale_exponent", "denominator"):
         if not _is_int(payload.get(key)):
             raise ParseError(f"spectrum payload: {key!r} must be an integer")
@@ -223,11 +224,15 @@ def _spectrum_levels(payload, N: int) -> list:
         where = f"spectrum level record {i}"
         if not isinstance(record, dict):
             raise ParseError(f"{where}: must be a JSON object")
-        if not _is_int(record.get("level")):
-            raise ParseError(f"{where}: 'level' must be an integer")
+        if not _is_int(record.get("level")) or record["level"] != i + 1:
+            raise ParseError(f"{where}: 'level' must be the integer {i + 1}")
         bps = _int_list(record, "breakpoints", where)
         if not bps or bps[0] != 0 or any(a >= b for a, b in zip(bps, bps[1:])):
             raise ParseError(f"{where}: 'breakpoints' must start at 0 and strictly increase")
+        if i and bps[:-1] != levels[i - 1]["breakpoints"]:
+            raise ParseError(f"{where}: 'breakpoints' must extend record {i - 1}'s by one entry")
+        if record.get("orthogonal") is not True or record.get("complete") is not True:
+            raise ParseError(f"{where}: 'orthogonal' and 'complete' must both be true")
         if bps[-1] >= ELEMENT_CAP.bit_length() or N ** bps[-1] > ELEMENT_CAP:
             raise ParseError(f"{where}: level size {N}^{bps[-1]} is over the cap {ELEMENT_CAP}")
         _int_list(record, "elements", where)

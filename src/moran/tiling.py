@@ -9,13 +9,14 @@ decision procedure.
 """
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, zip_longest
 from math import gcd, prod
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ResourceError
+from .numthy import _valuation_unchecked
 from .system import MoranSystem
 
 ELEMENT_CAP = 2**24
@@ -32,18 +33,16 @@ class AggregateDigitSet:
     ``elements`` is sorted and deduplicated. The expansion is direct
     exactly when no two digit combinations produce the same integer;
     any values reached more than one way are listed in ``collisions``
-    as diagnostic evidence. The N^k formal sums are ``h + l`` for every
-    ``h`` in ``high`` and ``l`` in ``low``.
+    as diagnostic evidence.
     """
 
     k: int
     elements: tuple
     exponents: tuple
     modulus: int
+    N: int
     direct: bool
     collisions: tuple = ()
-    high: tuple = field(default=(), repr=False, compare=False)
-    low: tuple = field(default=(), repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -115,10 +114,9 @@ def aggregate(sys: MoranSystem, k: int) -> AggregateDigitSet:
         elements=tuple(dict.fromkeys(sums) if collisions else sums),
         exponents=alphas,
         modulus=sys.N ** (max(alphas) + 1),
+        N=sys.N,
         direct=not collisions,
         collisions=collisions,
-        high=tuple(high),
-        low=tuple(low),
     )
 
 
@@ -159,36 +157,8 @@ def build_complement(sys: MoranSystem, k: int) -> TilingComplement:
     return TilingComplement(k=k, elements=tuple(sorted(elements)), modulus=sys.N ** (top + 1))
 
 
-def _check_table_cap(modulus: int):
-    if modulus > ELEMENT_CAP:
-        raise ResourceError(
-            f"exact-cover check over modulus {modulus} is above the cap {ELEMENT_CAP}"
-        )
-
-
-def expansion_residues(agg: AggregateDigitSet) -> np.ndarray:
-    """Every formal sum of the expansion reduced modulo agg.modulus, as
-    an int64 array: one numpy outer add of the two reduced halves, so
-    only their 2·N^(k/2) integers are reduced one by one.
-
-    For a direct expansion this is the multiset agg.elements mod
-    agg.modulus. The residues serve the exact cover, so a modulus over
-    that check's cap is refused the same way.
-    """
-    modulus = agg.modulus
-    _check_table_cap(modulus)
-    high = np.array([x % modulus for x in agg.high], dtype=np.int64)
-    low = np.array([x % modulus for x in agg.low], dtype=np.int64)
-    sums = (high[:, None] + low).ravel()
-    sums[sums >= modulus] -= modulus
-    return sums
-
-
 def _residues(elements, modulus: int):
-    """Each element reduced once, exactly, into an int64 array; an int64
-    array is reduced in one numpy call."""
-    if isinstance(elements, np.ndarray) and elements.dtype == np.int64:
-        return elements % modulus
+    """Each element reduced once, exactly, into an int64 array."""
     try:
         return np.array([operator.index(x) % modulus for x in elements], dtype=np.int64)
     except TypeError as exc:
@@ -206,14 +176,15 @@ def verify_tiling(D, L, modulus: int) -> bool:
     the working memory beyond the table does not grow with |D|·|L|. The
     table is then folded once. A non-integer element raises DomainError.
     """
-    D, L = (x if isinstance(x, np.ndarray) else tuple(x) for x in (D, L))
+    D, L = tuple(D), tuple(L)
     if len(D) * len(L) != modulus:
         raise PreconditionError(
             f"|D| * |L| = {len(D) * len(L)} does not match the modulus {modulus}"
         )
     if modulus < 1:
         raise PreconditionError("an exact cover needs a modulus of at least 1")
-    _check_table_cap(modulus)
+    if modulus > ELEMENT_CAP:
+        raise ResourceError(f"exact-cover check over modulus {modulus} is above the cap {ELEMENT_CAP}")
     rows, cols = (D, L) if len(D) >= len(L) else (L, D)
     rows = _residues(rows, modulus)
     table = np.zeros(2 * modulus, dtype=np.uint8)
@@ -228,11 +199,25 @@ def verify_tiling(D, L, modulus: int) -> bool:
     return bool(folded.all())
 
 
+def _valuation_set(X, N: int, M: int):
+    """The N-adic valuations of the differences of X modulo N^M, or None
+    when two members agree modulo N^M. Members differ at valuation e
+    exactly when they share a class modulo N^e but not modulo N^(e+1)."""
+    counts, classes = {}, X
+    for e in range(M, -1, -1):
+        q = N**e
+        classes = {x % q for x in classes}
+        counts[e] = len(classes)
+    return None if counts[M] != len(X) else {e for e in range(M) if counts[e + 1] > counts[e]}
+
+
 def tile_checks(agg: AggregateDigitSet, digits, complement, modulus: int, exponents) -> list:
     """The checks every certified tile passes, for the builder and the
     certificate replay alike: the (name, ok, detail) rows digit-set,
     direct-sum, modulus and exponents against the recomputed expansion
-    agg, then complement-tiles, the exact cover by the stated lists."""
+    agg, then complement-tiles, the exact cover by the stated lists. For
+    prime N that holds iff |D|·|L| = N^M, neither side repeats a residue
+    and the sides' valuation sets are disjoint: the README has the proof."""
     digits, complement = tuple(digits), tuple(complement)
     match = digits == agg.elements
     # a permutation or a repeat may differ only in position
@@ -245,13 +230,21 @@ def tile_checks(agg: AggregateDigitSet, digits, complement, modulus: int, expone
         ("exponents", tuple(exponents) == agg.exponents, f"recomputed {list(agg.exponents)}"),
     ]
     cells = len(digits) * len(complement)
-    # a stated list equal to a direct expansion is its N^k formal sums,
-    # whose residues come from the two halves; any other is judged as stated
-    expansion = match and agg.direct and modulus == agg.modulus
-    tiles = cells == modulus and verify_tiling(
-        expansion_residues(agg) if expansion else digits, complement, modulus
-    )
-    detail = None if cells == modulus else f"|D| * |L| = {cells}, not the modulus"
+    tiles, detail = False, None
+    if cells != modulus:
+        detail = f"|D| * |L| = {cells}, not the modulus"
+    elif modulus < 1:
+        raise PreconditionError("an exact cover needs a modulus of at least 1")
+    elif (power := _valuation_unchecked(modulus, agg.N)).unit != 1:
+        detail = f"modulus {modulus} is not a power of N"
+    else:
+        # a difference of the expansion is a sum of c_j·u_j·N^(α_j) with |c_j| < N and
+        # N ∤ u_j, so with distinct α_j its valuation is the least α_j with c_j ≠ 0
+        alphas = set(agg.exponents)
+        expansion = match and modulus == agg.modulus and len(alphas) == len(agg.exponents)
+        ours = alphas if expansion else _valuation_set(digits, agg.N, power.exponent)
+        theirs = _valuation_set(complement, agg.N, power.exponent)
+        tiles = ours is not None and theirs is not None and ours.isdisjoint(theirs)
     rows.append(("complement-tiles", tiles, detail))
     return rows
 

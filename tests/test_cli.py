@@ -258,12 +258,17 @@ def test_verify_rejects_verification_records(conf, capsys, tmp_path):
 
 
 SPECTRUM_CERT = (EX1, ["spectrum", "--levels", "1"])
+SPECTRUM_CERT_2 = (EX1, ["spectrum", "--levels", "2"])
 TILE_CERT = (QUARTER, ["tile", "--k", "3"])
 TERNARY_TILE_CERT = (TERNARY, ["tile", "--k", "3"])
 
 
 def _float_digit(payload):
     payload["digit_elements"][1] = float(payload["digit_elements"][1])
+
+
+def _skipped_breakpoint(payload):
+    payload["levels"][1]["breakpoints"] = [0, 1, 4]
 
 
 def _far_breakpoint(payload):
@@ -281,6 +286,12 @@ _NINES = "<5,000 nines>"
         (SPECTRUM_CERT, lambda p: p.update(levels=[]), 1, "FAIL levels (the certificate lists no level)"),
         (SPECTRUM_CERT, lambda p: p.pop("levels"), 3, "'levels' must be a list"),
         (SPECTRUM_CERT, lambda p: p["levels"][0]["elements"].__setitem__(1, "5"), 3, "list of integers"),
+        (SPECTRUM_CERT_2, lambda p: p["levels"][1].update(orthogonal=False), 3, "'orthogonal' and 'complete'"),
+        (SPECTRUM_CERT_2, lambda p: p["levels"][0].update(complete=False), 3, "'orthogonal' and 'complete'"),
+        (SPECTRUM_CERT_2, lambda p: p["levels"][1].update(level=7), 3, "record 1: 'level' must be the integer 2"),
+        (SPECTRUM_CERT_2, lambda p: p["levels"].reverse(), 3, "record 0: 'level' must be the integer 1"),
+        (SPECTRUM_CERT_2, lambda p: p["levels"].pop(0), 3, "record 0: 'level' must be the integer 1"),
+        (SPECTRUM_CERT_2, _skipped_breakpoint, 3, "'breakpoints' must extend record 0's by one entry"),
         (
             SPECTRUM_CERT,
             lambda p: p["levels"][0]["elements"].__setitem__(1, 0),
@@ -305,6 +316,12 @@ _NINES = "<5,000 nines>"
         "empty",
         "missing",
         "string-element",
+        "not-orthogonal",
+        "not-complete",
+        "level-raised",
+        "levels-reversed",
+        "level-1-dropped",
+        "breakpoints-not-nested",
         "repeated-element",
         "tile-missing-complement",
         "tile-float-digit",
@@ -358,12 +375,18 @@ def test_verify_bounds_the_stated_scale_exponent(conf, capsys, tmp_path):
     ]
 
 
-def test_tile_over_the_cover_cap_is_a_limit(conf, capsys):
-    # modulus 3^23: the exact-cover table would need ~94 GB
-    code, _, err = run(capsys, ["tile", conf("N = 3\nb.period = 9\nt.period = 1 4\n"), "--k", "12"])
-    assert code == 2
-    assert err.startswith("limit:")
-    assert "94143178827" in err
+@pytest.mark.parametrize("text,k,modulus", [(TERNARY, 9, 3**17), (QUARTER, 13, 2**25)], ids=["ternary-k9", "quarter-k13"])
+def test_tile_past_the_table_cap_certifies(conf, capsys, tmp_path, text, k, modulus):
+    # moduli over ELEMENT_CAP: the cover is decided from valuation sets,
+    # with nothing allocated per residue
+    cfg = conf(text)
+    cert = tmp_path / "tile.json"
+    code, out, err = run(capsys, ["tile", cfg, "--k", str(k), "--out", str(cert)])
+    assert (code, err) == (0, "")
+    assert f"modulus {modulus}\n" in out
+    code, out, _ = run(capsys, ["verify", cfg, str(cert)])
+    assert code == 0
+    assert out.endswith("PASS complement-tiles\nresult: PASS\n")
 
 
 def test_tile_huge_k_is_a_limit_in_little_memory(conf, capsys):

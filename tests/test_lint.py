@@ -1,10 +1,12 @@
 """Source checks that need no linter: every name a module imports is
-used, every import sits at module level, and the README names exactly
+used, every import sits at module level, every module-level private name
+is referenced outside its own definition, and the README names exactly
 the config options the parser knows.
 
-Deleting code tends to leave its imports behind. The package __init__
-imports names only to re-export them, so it is left out of the first
-check. An import inside a function hides a module's dependencies.
+Deleting code tends to leave its imports and private helpers behind. The
+package __init__ imports names only to re-export them, so it is left out
+of the first check. An import inside a function hides a module's
+dependencies.
 """
 
 import ast
@@ -64,6 +66,56 @@ def test_every_import_in_src_is_at_module_level():
     modules = sorted(SRC.glob("*.py"))
     found = {p.name: function_imports(p.read_text(encoding="utf-8")) for p in modules}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def _private_definitions(statement) -> list:
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [statement.name]
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _references(statement) -> set:
+    found = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def unreferenced_private_names(sources: dict) -> list:
+    """(module, name) for each module-level private name that no
+    top-level statement of any module refers to, other than the one that
+    defines it: a recursive helper does not keep itself alive."""
+    statements = [(module, s) for module, source in sources.items() for s in ast.parse(source).body]
+    refs = [_references(s) for _, s in statements]
+    return sorted(
+        (module, name)
+        for i, (module, s) in enumerate(statements)
+        for name in _private_definitions(s)
+        if not any(name in r for j, r in enumerate(refs) if j != i)
+    )
+
+
+def test_unreferenced_private_names_are_found():
+    sources = {
+        "a.py": "_CAP = 4\n_used = 1\n\ndef _gone(n):\n    return _gone(n - 1)\n",
+        "b.py": "from .a import _used\n\ndef f():\n    return _used\n",
+    }
+    assert unreferenced_private_names(sources) == [("a.py", "_CAP"), ("a.py", "_gone")]
+
+
+def test_every_private_name_in_src_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
 
 
 def test_readme_lists_exactly_the_known_options():

@@ -9,6 +9,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
+from itertools import combinations
 from itertools import product as iter_product
 from math import prod
 
@@ -21,11 +22,12 @@ from moran.errors import DomainError, PreconditionError, ResourceError
 from moran.system import MoranSystem, SequenceSpec, normalize
 from moran.tiling import (
     ELEMENT_CAP,
+    _valuation_set,
     aggregate,
     brute_force_complement_search,
     build_complement,
-    expansion_residues,
     tijdeman_scale_check,
+    tile_checks,
     tile_predicate,
     verify_tiling,
 )
@@ -140,6 +142,7 @@ def test_aggregate_matches_positional_reference():
 DEEPEST = {2: 8, 3: 6, 5: 4}
 SIGNED_B = st.integers(2, 20).flatmap(lambda v: st.sampled_from([v, -v]))
 SIGNED_T = st.integers(1, 12).flatmap(lambda v: st.sampled_from([v, -v]))
+BIG = st.integers(2**64, 2**70).flatmap(lambda v: st.sampled_from([v, -v]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -160,31 +163,96 @@ def signed_sequence(data, entries):
     return SequenceSpec.periodic(data.draw(st.lists(entries, min_size=1, max_size=3)), preperiod=pre)
 
 
-@settings(max_examples=300, deadline=None)
+def cover_row(agg, D, L, modulus):
+    """The complement-tiles row of tile_checks, as (ok, detail)."""
+    name, ok, detail = tile_checks(agg, D, L, modulus, agg.exponents)[-1]
+    assert name == "complement-tiles"
+    return ok, detail
+
+
+@settings(max_examples=150, deadline=None)
 @given(data=st.data(), N=st.sampled_from([2, 3, 5]), small=st.booleans())
-def test_expansion_residues_are_the_expansion_mod_the_modulus(data, N, small):
+def test_tile_checks_cover_matches_the_cell_loop(data, N, small):
+    # the built lists, with an element of either side moved or not, then
+    # perhaps every element lifted by multiples of the modulus past 2^64,
+    # then perhaps the complement negated
     k = data.draw(st.integers(1, DEEPEST[N]))
     bs = signed_sequence(data, st.sampled_from([2, -2, 3, -3]) if small else SIGNED_B)
     ts = signed_sequence(data, st.integers(-4, 4).filter(bool) if small else SIGNED_T)
     sys = MoranSystem(N, bs, ts)
-    agg = aggregate(sys, k)
+    # the deepest tile level up to k: levels before the first repeat of s
+    pair = sys.skeleton.first_repeat(k)
+    k = k if pair is None else pair[1] - 1
+    agg, comp = aggregate(sys, k), build_complement(sys, k)
     modulus = agg.modulus
-    assume(modulus <= ELEMENT_CAP)
-    got = expansion_residues(agg)
-    assert got.dtype == np.int64
-    got = sorted(got.tolist())
-    # the multiset of all N^k formal sums, repeats included
-    assert got == sorted(x % modulus for x in ref_aggregate_multiset(sys, k))
-    if agg.direct:
-        assert got == sorted(x % modulus for x in agg.elements)
+    assume(modulus <= 2**14)
+    D, L = list(agg.elements), list(comp.elements)
+    moved = data.draw(st.sampled_from(["none", "digit", "complement"]))
+    if moved != "none":
+        side = D if moved == "digit" else L
+        side[data.draw(st.integers(0, len(side) - 1))] = data.draw(st.integers(-modulus, 2 * modulus))
+    if data.draw(st.booleans()):
+        lifts = data.draw(st.lists(BIG | st.integers(-3, 3), min_size=1, max_size=8))
+        D = [x + lifts[i % len(lifts)] * modulus for i, x in enumerate(D)]
+        L = [x + lifts[-i % len(lifts)] * modulus for i, x in enumerate(L)]
+    if data.draw(st.booleans()):
+        L = [-x for x in L]
+    want = ref_verify_tiling(D, L, modulus)
+    assert cover_row(agg, D, L, modulus) == (want, None)
+    if moved == "none":
+        assert want
 
 
-def test_expansion_residues_refuse_a_modulus_over_the_cap():
-    # four sums, but residues modulo 2^31 are past the exact cover's table
-    agg = aggregate(prefix_system(2, [2, 2**30], [1, 1]), 2)
-    assert agg.modulus == 2**31
-    with pytest.raises(ResourceError, match="above the cap"):
-        expansion_residues(agg)
+def pairwise_valuations(X, N, M):
+    """Every valuation of a difference of X modulo N^M, pair by pair, or
+    None when two members agree modulo N^M: the oracle for _valuation_set."""
+    modulus = N**M
+    found = set()
+    for i, x in enumerate(X):
+        for y in X[:i]:
+            d = (x - y) % modulus
+            if d == 0:
+                return None
+            e = 0
+            while d % N**(e + 1) == 0:
+                e += 1
+            found.add(e)
+    return found
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), N=st.sampled_from([2, 3, 5]), M=st.integers(0, 6))
+def test_valuation_set_matches_the_pairwise_scan(data, N, M):
+    # a small pool makes repeats common; signed values past 2^64 are lifts
+    pool = data.draw(st.lists(st.integers(-(N**M), N**M), min_size=1, max_size=4))
+    element = st.sampled_from(pool) | st.integers(-(2**70), 2**70) | st.integers(-30, 30)
+    X = data.draw(st.lists(element, max_size=12))
+    assert _valuation_set(X, N, M) == pairwise_valuations(X, N, M)
+
+
+@pytest.mark.parametrize("N,M", [(2, 2), (2, 3), (3, 2)])
+def test_cover_criterion_on_every_pair_containing_zero(N, M):
+    # every pair of sets of residues containing 0 with |D|·|L| = N^M
+    modulus = N**M
+    agg = aggregate(prefix_system(N, [N], [1]), 1)
+    rest = range(1, modulus)
+    tilings = 0
+    for a in range(M + 1):
+        for D in combinations(rest, N**a - 1):
+            for L in combinations(rest, N ** (M - a) - 1):
+                D0, L0 = (0, *D), (0, *L)
+                want = ref_verify_tiling(D0, L0, modulus)
+                assert cover_row(agg, D0, L0, modulus) == (want, None)
+                tilings += want
+    assert tilings
+
+
+def test_cover_needs_a_power_of_n_modulus():
+    agg = aggregate(prefix_system(2, [4, 4], [1, 2]), 2)
+    # {0, 1, 2} + {0, 3} covers the residues mod 6 exactly once
+    assert ref_verify_tiling([0, 1, 2], [0, 3], 6)
+    assert cover_row(agg, [0, 1, 2], [0, 3], 6) == (False, "modulus 6 is not a power of N")
+    assert cover_row(agg, [0, 1, 2], [0], 6) == (False, "|D| * |L| = 3, not the modulus")
 
 
 def test_aggregate_resource_cap():
@@ -313,7 +381,7 @@ def test_verify_tiling_agrees_with_the_cell_loop(data, a, b):
     want = ref_verify_tiling(D, L, modulus)
     assert verify_tiling(D, L, modulus) == want
     assert verify_tiling(L, D, modulus) == want
-    # an int64 array is reduced in one numpy call, to the same verdict
+    # an int64 array gives the same verdict
     if all(-(2**63) <= x < 2**63 for x in D):
         assert verify_tiling(np.array(D, dtype=np.int64), L, modulus) == want
         assert verify_tiling(L, np.array(D, dtype=np.int64), modulus) == want
