@@ -9,7 +9,6 @@ with sorted keys, so identical inputs give byte-identical files.
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import __version__
@@ -25,11 +24,11 @@ def tool_stamp() -> dict:
     return {"name": "moran", "version": __version__}
 
 
-def _fraction_text(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def _scaled_text(e: int, den: int) -> str:
+    """e / den in lowest terms, as str(Fraction(e, den)) writes it, for
+    den > 0."""
+    g = math.gcd(e, den)
+    return str(e // g) if den == g else f"{e // g}/{den // g}"
 
 
 def tile_certificate(fingerprint: str, agg, comp) -> dict:
@@ -83,9 +82,7 @@ def spectrum_certificate(fingerprint: str, N: int, levels) -> dict:
                 "level": lv.level,
                 "breakpoints": list(lv.breakpoints),
                 "elements": list(lv.elements),
-                "denormalized": [
-                    _fraction_text(Fraction(e, den)) for e in lv.elements
-                ],
+                "denormalized": [_scaled_text(e, den) for e in lv.elements],
                 "tail_bound": lv.tail_bound,
                 "orthogonal": lv.orthogonal,
                 "complete": lv.complete,
@@ -257,16 +254,18 @@ def _check_spectrum(payload, sys: MoranSystem, checks, params, tol):
     den = sys.N**m
     if not levels:
         checks.append(("levels", False, "the certificate lists no level"))
+    prev = None
     for record in levels:
         tag = f"level-{record['level']}"
         elements = record["elements"]
-        rows, bound = level_checks(work, elements, record["breakpoints"][-1], params)
+        rows, bound = level_checks(work, elements, record["breakpoints"][-1], params, prev)
+        prev = elements
         # the stated bound must hold too, not only the epsilon0 floor
         stated = record.get("tail_bound")
         ok = rows[-1][1] and stated is not None and bound >= stated - tol
         rows[-1] = ("tail", ok, None if ok else f"recomputed {bound:.6g} against stated {stated}")
         checks.extend((f"{tag}-{name}", ok, detail) for name, ok, detail in rows)
-        scaled = [_fraction_text(Fraction(e, den)) for e in elements]
+        scaled = [_scaled_text(e, den) for e in elements]
         checks.append(
             (
                 f"{tag}-scaling",

@@ -23,7 +23,7 @@ from .certificates import (
     verification_certificate,
     verify_certificate,
 )
-from .config import _parse_grid, _parse_positive_int, _parse_tolerance, load_config
+from .config import _parse_depth, _parse_grid, _parse_tolerance, load_config
 from .errors import (
     DomainError,
     HorizonError,
@@ -350,8 +350,8 @@ def main(argv=None) -> int:
         # flags follow the rules of the options they override
         for flag, parse in (
             ("grid", _parse_grid),
-            ("window", _parse_positive_int),
-            ("depth", _parse_positive_int),
+            ("window", _parse_depth),
+            ("depth", _parse_depth),
             ("tol", _parse_tolerance),
         ):
             if getattr(args, flag, None) is not None:

@@ -33,6 +33,18 @@ def _parse_positive_int(raw, where):
     return value
 
 
+# The most indices a tail depth or an analyze window may reach: both keep
+# every prefix product b_1...b_n up to that index, in memory quadratic in it.
+DEPTH_CAP = 4096
+
+
+def _parse_depth(raw, where):
+    value = _parse_positive_int(raw, where)
+    if value > DEPTH_CAP:
+        raise ParseError(f"{where}: expected at most {DEPTH_CAP}, got {value}")
+    return value
+
+
 def _parse_int_list(raw: str, where: str) -> list:
     if not raw:
         return []
@@ -86,9 +98,9 @@ def _parse_grid(raw: str, where: str):
 
 
 _OPTION_PARSERS = {
-    "depth": _parse_positive_int,
+    "depth": _parse_depth,
     "K": _parse_positive_int,
-    "window": _parse_positive_int,
+    "window": _parse_depth,
     "C": _parse_finite,
     "epsilon0": _parse_finite,
     "sigma0": _parse_fraction,

@@ -8,7 +8,6 @@ on integers and Fractions. Every N-term sum starts at the d = 0 term's
 exact value 1, which has the bits exp(0) would give.
 """
 
-import cmath
 from fractions import Fraction
 from math import isfinite, pi
 
@@ -16,6 +15,8 @@ import numpy as np
 
 from .errors import DomainError, ResourceError, UnsupportedCaseError
 from .system import MoranSystem, _tail_ratio_sum, hypothesis_holds_from
+
+_PHASES = 2**16  # the phases one group of factors in _residue_products may hold
 
 
 def m_factor(N: int, t: int, x) -> complex:
@@ -77,64 +78,82 @@ def mu_hat_shifted_grid(sys: MoranSystem, k: int, xs, shift: int) -> np.ndarray:
     return out
 
 
-def _residue_product(N: int, factors, p: int, q: int) -> complex:
-    """Product of m_factor(N, t, p/(q*B)) over the integer pairs (t, B)
-    in factors, for integers p and q, with q and every B nonzero.
-
-    Each phase j*t*p/(q*B) is reduced modulo 1 as an integer residue
-    over |q*B|; the one rounding is the correctly rounded quotient of the
-    two integers, so huge arguments lose no precision, and every factor
-    has the bits of m_factor's Fraction path.
-    """
-    turn = 2j * pi
-    value = complex(1)
-    for t, B in factors:
-        den = q * B
-        step = t * p
-        if den < 0:
-            den, step = -den, -step
-        total = complex(1)
-        for j in range(1, N):
-            total += cmath.exp(turn * (j * step % den / den))
-        value *= total / N
-    return value
+def _means(N: int, thetas):
+    """(real, imag) parts of the means (1/N) sum_{j<N} exp(i theta_j),
+    elementwise, for the phase arrays thetas of j = 1..N-1 (the j = 0 term
+    is exactly 1), summed in the order of the per-point complex loop."""
+    sum_re, sum_im = 1.0, 0.0
+    for theta in thetas:
+        sum_re = sum_re + np.cos(theta)
+        sum_im = sum_im + np.sin(theta)
+    return sum_re / N, sum_im / N
 
 
-def _float_product(N: int, factors, xs, what: str) -> np.ndarray:
-    """Product of m_factor(N, t, x/B) over the integer pairs (t, B) in
-    factors at every float x in xs, one factor at a time across the array.
-
-    Each point gets the bits of the per-point float product of m_factor
-    values: the same float operations in the same order, with the complex
-    sum and product kept as separate real and imaginary arrays, because
-    numpy's complex multiply rounds differently from CPython's. A scale
-    product past the float range is a ResourceError naming the factor.
-    """
-    top = float(np.abs(xs).max(initial=0.0))
-    re = np.ones(xs.shape)
-    im = np.zeros(xs.shape)
-    for n, (t, B) in enumerate(factors, start=1):
-        try:
-            scale = float(B)
-        except OverflowError:
-            raise ResourceError(
-                f"{what} stops at factor {n} of {len(factors)}: its scale "
-                f"product has {abs(B).bit_length()} bits, beyond float range; lower the depth"
-            ) from None
-        x = xs / scale
-        _check_phases(N, t, top / scale, n, what, top)
-        sum_re = np.ones(xs.shape)
-        sum_im = np.zeros(xs.shape)
-        for j in range(1, N):
-            theta = (2 * pi * j * t) * x
-            sum_re += np.cos(theta)
-            sum_im += np.sin(theta)
-        f_re = sum_re / N
-        f_im = sum_im / N
+def _product_of(means, shape) -> np.ndarray:
+    """The product of the factors (f_re, f_im) in means, elementwise, with
+    the bits of the per-point complex loop: the same float operations in
+    the same order, kept as separate real and imaginary arrays, because
+    numpy's complex multiply rounds differently from CPython's."""
+    re = np.ones(shape)
+    im = np.zeros(shape)
+    for f_re, f_im in means:
         re, im = re * f_re - im * f_im, re * f_im + im * f_re
     values = re.astype(complex)
     values.imag = im
     return values
+
+
+def _residue_products(N: int, factors, ps, q: int) -> np.ndarray:
+    """Product of m_factor(N, t, p/(q*B)) over the integer pairs (t, B)
+    in factors, at every integer p in ps, for an integer q; q and every B
+    are nonzero.
+
+    Each phase j*t*p/(q*B) is reduced modulo 1 as an integer residue
+    over |q*B|; the one rounding is the correctly rounded quotient of the
+    two integers, so huge arguments lose no precision, and every value has
+    the bits of m_factor's Fraction path. The means come from one array of
+    phases per group of factors: as many factors as fit in _PHASES phases,
+    and at least one.
+    """
+    group = max(1, _PHASES // max(1, (N - 1) * len(ps)))
+
+    def means():
+        for at in range(0, len(factors), group):
+            rows = []
+            for t, B in factors[at : at + group]:
+                den = q * B
+                step = -t if den < 0 else t
+                den = abs(den)
+                rows.extend([j * step * p % den / den for p in ps] for j in range(1, N))
+            theta = (2 * pi) * np.array(rows, dtype=float).reshape(len(rows) // (N - 1), N - 1, len(ps))
+            yield from zip(*_means(N, np.moveaxis(theta, 1, 0)))
+
+    return _product_of(means(), len(ps))
+
+
+def _float_product(N: int, factors, xs, what: str) -> np.ndarray:
+    """Product of m_factor(N, t, x/B) over the integer pairs (t, B) in
+    factors at every float x in xs, one factor at a time across the array,
+    with the bits of the per-point float product of m_factor values. A
+    scale product past the float range is a ResourceError naming the
+    factor.
+    """
+    top = float(np.abs(xs).max(initial=0.0))
+
+    def means():
+        for n, (t, B) in enumerate(factors, start=1):
+            try:
+                scale = float(B)
+            except OverflowError:
+                raise ResourceError(
+                    f"{what} stops at factor {n} of {len(factors)}: its scale "
+                    f"product has {abs(B).bit_length()} bits, beyond float range; lower the depth"
+                ) from None
+            x = xs / scale
+            _check_phases(N, t, top / scale, n, what, top)
+            yield _means(N, ((2 * pi * j * t) * x for j in range(1, N)))
+
+    return _product_of(means(), xs.shape)
 
 
 def _product(N: int, factors, xi, what: str) -> complex:
@@ -142,7 +161,7 @@ def _product(N: int, factors, xi, what: str) -> complex:
     from exact residues for an int or Fraction xi, else from the float
     product."""
     if isinstance(xi, (int, Fraction)):
-        return _residue_product(N, factors, xi.numerator, xi.denominator)
+        return complex(_residue_products(N, factors, [xi.numerator], xi.denominator)[0])
     return complex(_float_product(N, factors, np.array([xi], dtype=float), what)[0])
 
 
@@ -187,11 +206,17 @@ class TailKernel:
         xs = np.asarray(xs, dtype=float)
         return _float_product(self.N, self._factors, xs, "float tail"), self._err_scale * np.abs(xs) * self._ratio
 
+    def exact_many(self, ps, q: int):
+        """(values, errs) at the rationals p/q for every integer p in ps,
+        for an integer q != 0, from exact integer residues
+        (_residue_products). Each pair has the bits of exact(p, q)."""
+        ratios = np.array([abs(p / q) for p in ps], dtype=float)
+        return _residue_products(self.N, self._factors, ps, q), self._err_scale * ratios * self._ratio
+
     def exact(self, p: int, q: int):
-        """(value, err) at the rational p/q, for integers p and q != 0,
-        from exact integer residues (_residue_product)."""
-        value = _residue_product(self.N, self._factors, p, q)
-        return value, self._err_scale * abs(p / q) * self._ratio
+        """(value, err) at the rational p/q, for integers p and q != 0."""
+        values, errs = self.exact_many([p], q)
+        return complex(values[0]), float(errs[0])
 
 
 def nu_hat_tail(sys: MoranSystem, k: int, xi, M: int):

@@ -10,6 +10,7 @@ run on exact integers; floats appear only inside certified tail bounds.
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
@@ -24,7 +25,7 @@ from .errors import (
     ResourceError,
     UnsupportedCaseError,
 )
-from .fourier import TailKernel, _residue_product, mu_hat_shifted_grid
+from .fourier import TailKernel, _residue_products, mu_hat_shifted_grid
 from .numthy import _valuation_unchecked
 from .system import (
     CaseI,
@@ -42,6 +43,7 @@ from .system import (
 from .tiling import ELEMENT_CAP, aggregate
 
 _FACTOR_FLOOR = 1e-6
+_TAIL_CHUNK = 64  # the first batch of offset-search tails; each next one doubles
 
 
 @dataclass(frozen=True)
@@ -254,6 +256,17 @@ def _window_order(K):
         yield -z
 
 
+def _tails_at(tail, nums, shift, q):
+    """(value, err) of the tail at (n + shift) / q for each n in nums, in
+    order, in batches that double, so a search that stops early evaluates
+    at most twice the tails it reads, plus the first batch."""
+    at, size = 0, _TAIL_CHUNK
+    while at < len(nums):
+        values, errs = tail.exact_many([n + shift for n in nums[at : at + size]], q)
+        yield from zip(values.tolist(), errs.tolist())
+        at, size = at + size, 2 * size
+
+
 def _qualifying_offset(tails, params):
     """First offset z in window order whose tail lower bounds all clear C.
 
@@ -324,9 +337,7 @@ def build_level(
         else:
             # the tail is certified at (lp + lam_b + z*Bm) / Bm for every lp
             nums = [lp + lam_b for lp in prev.elements]
-            z = _qualifying_offset(
-                lambda z: (tail.exact(n + z * Bm, Bm) for n in nums), params
-            )
+            z = _qualifying_offset(lambda z: _tails_at(tail, nums, z * Bm, Bm), params)
         offsets.append(z)
         shifted = lam_b + Bm * z
         out.extend(lp + shifted for lp in prev.elements)
@@ -367,24 +378,10 @@ def _zero_set_table(sys: MoranSystem, k: int, reach: int) -> dict:
     return table
 
 
-def verify_orthogonal(sys: MoranSystem, lam, k: int):
-    """Exact pairwise-difference membership in the level-k zero set.
-
-    Returns (True, None), or (False, witness) with the first positive
-    difference, in sorted pair order, that misses every component up to
-    index k. Each distinct difference is decided once, by its N-adic
-    valuation: that exponent names the only components that can hold it.
-    """
-    try:
-        elems = sorted(map(operator.index, lam))
-    except TypeError:
-        raise DomainError("candidate spectra must have integer elements") from None
-    if len(set(elems)) != len(elems):
-        raise DomainError("candidate spectra must have distinct elements")
-    if len(elems) < 2:
-        return (True, None)
-    N = sys.N
-    table = _zero_set_table(sys, k, elems[-1] - elems[0])
+def _first_witness(elems, N: int, table):
+    """The pair walk over sorted elems: (False, d) for the first positive
+    difference d, in sorted pair order, that no component of table holds,
+    else (True, None). Its N-adic valuation names the components to try."""
     seen = set()
     for i, a in enumerate(elems):
         for b in elems[i + 1 :]:
@@ -396,6 +393,64 @@ def verify_orthogonal(sys: MoranSystem, lam, k: int):
             if not any(u * t % bb == 0 for t, bb in table.get(e, ())):
                 return (False, diff)
     return (True, None)
+
+
+def _tree_orthogonal(elems, N: int, table) -> bool:
+    """Is every difference of two elems in the zero set, when each
+    exponent of table has one component? Decided on the N-adic digit tree,
+    with no pairs.
+
+    bold_b is N-free, so a difference of valuation e lies in component
+    (t', bold_b) iff g_e = bold_b / gcd(bold_b, t') divides it. Two
+    elements differ by valuation e iff they share a class mod N^e but not
+    mod N^(e+1). So the set passes iff no two elements agree mod N^(m+1),
+    m the largest exponent, and every class mod N^e that meets two or more
+    classes mod N^(e+1) has e in table and is constant mod g_e.
+    """
+    depth = max(table, default=-1) + 1
+    if depth <= 0:
+        return False
+    res = [a % N**depth for a in elems]
+    classes = set(res)
+    if len(classes) < len(res):
+        return False
+    for e in range(depth - 1, -1, -1):
+        mod = N**e
+        children = Counter(c % mod for c in classes)
+        if len(children) < len(classes):
+            if e not in table:
+                return False
+            ((t, bb),) = table[e]
+            g = bb // math.gcd(bb, t)
+            split = {c for c, n in children.items() if n > 1}
+            pairs = {(p, a % g) for a, r in zip(elems, res) if (p := r % mod) in split}
+            if len(pairs) > len(split):
+                return False
+        classes = children.keys()
+    return True
+
+
+def verify_orthogonal(sys: MoranSystem, lam, k: int):
+    """Exact pairwise-difference membership in the level-k zero set.
+
+    Returns (True, None), or (False, witness) with the first positive
+    difference, in sorted pair order, that misses every component up to
+    index k. The verdict comes from the digit tree (_tree_orthogonal) in
+    O(|lam| * depth); the pair walk runs only to name a witness, or when
+    two components share an exponent.
+    """
+    try:
+        elems = sorted(map(operator.index, lam))
+    except TypeError:
+        raise DomainError("candidate spectra must have integer elements") from None
+    if len(set(elems)) != len(elems):
+        raise DomainError("candidate spectra must have distinct elements")
+    if len(elems) < 2:
+        return (True, None)
+    table = _zero_set_table(sys, k, elems[-1] - elems[0])
+    if all(len(c) == 1 for c in table.values()) and _tree_orthogonal(elems, sys.N, table):
+        return (True, None)
+    return _first_witness(elems, sys.N, table)
 
 
 def verify_spectrum_finite(sys: MoranSystem, lam, k: int) -> bool:
@@ -415,7 +470,8 @@ def verify_spectrum_finite(sys: MoranSystem, lam, k: int) -> bool:
 
 
 def verify_tail_lower_bound(sys: MoranSystem, lam, k: int, params: Optional[SpectrumBuildParams] = None):
-    """Certify the tail modulus beyond level k on every scaled element.
+    """Certify the tail modulus beyond level k on every scaled integer
+    element, from one batch of exact tails.
 
     Returns (ok, bound, witness): bound is the smallest certified lower
     value over lam, witness the offending element when ok is False.
@@ -423,29 +479,31 @@ def verify_tail_lower_bound(sys: MoranSystem, lam, k: int, params: Optional[Spec
     params = params or SpectrumBuildParams()
     B = sys.b_product(k)
     tail = TailKernel(sys, k, params.depth)
-    worst = math.inf
-    witness = None
-    for lam_i in lam:
-        value, err = tail.exact(lam_i.numerator, lam_i.denominator * B)
-        lower = abs(value) - err
-        if lower < worst:
-            worst = lower
-            witness = lam_i
-    ok = worst >= params.epsilon0
-    return (ok, worst, None if ok else witness)
+    lam = list(lam)
+    if not lam:
+        return (True, math.inf, None)
+    values, errs = tail.exact_many(lam, B)
+    lower = np.hypot(values.real, values.imag) - errs
+    i = int(np.argmin(lower))  # the first smallest, as a strict < scan keeps
+    ok = lower[i] >= params.epsilon0
+    return (bool(ok), float(lower[i]), None if ok else lam[i])
 
 
-def level_checks(work: MoranSystem, elements, k: int, params: Optional[SpectrumBuildParams] = None):
+def level_checks(work: MoranSystem, elements, k: int, params: Optional[SpectrumBuildParams] = None, prev=None):
     """The checks every certified level passes, for the builder and the
     certificate replay alike.
 
-    Returns the (name, ok, detail) rows for cardinality, orthogonality and
+    Returns the (name, ok, detail) rows for cardinality, nesting (when
+    prev, the elements of the level before, is given), orthogonality and
     the tail, in that order, and the certified tail lower bound. A failed
     tail row names the element that set the bound.
     """
     params = params or SpectrumBuildParams()
-    distinct = len(set(elements))
-    rows = [("cardinality", distinct == work.N**k, f"{distinct} distinct elements, expected {work.N ** k}")]
+    distinct = set(elements)
+    rows = [("cardinality", len(distinct) == work.N**k, f"{len(distinct)} distinct elements, expected {work.N ** k}")]
+    if prev is not None:
+        missing = [x for x in prev if x not in distinct]
+        rows.append(("nesting", not missing, f"element {missing[0]} of the level before is missing" if missing else None))
     try:
         orth, witness = verify_orthogonal(work, elements, k)
         detail = None if orth else f"difference {witness} is not a transform zero"
@@ -474,8 +532,8 @@ def extension_factor_floor(sys: MoranSystem, block: SpectrumBlock) -> float:
     worst = math.inf
     for i in range(1, alpha + 1):
         factor = ((sys.t_entry(block.k2 + i), sys.b_product(block.k2 + i)),)
-        for lam in block.elements:
-            worst = min(worst, abs(_residue_product(sys.N, factor, lam, 1)))
+        values = _residue_products(sys.N, factor, block.elements, 1)
+        worst = min(worst, float(np.hypot(values.real, values.imag).min()))
     return worst
 
 
@@ -520,8 +578,8 @@ def _next_breakpoint(sys, case, prev, m0, params):
     return k
 
 
-def _verify_level(work, level, params):
-    rows, bound = level_checks(work, level.elements, level.breakpoints[-1], params)
+def _verify_level(work, level, params, prev):
+    rows, bound = level_checks(work, level.elements, level.breakpoints[-1], params, prev)
     for name, ok, detail in rows:
         if not ok:
             # a tail below epsilon0 is a limit of the thresholds, not a refusal
@@ -552,7 +610,7 @@ def _drive(work, case, m0, blocks, params, scale_exponent):
         else:
             k_next = _next_breakpoint(work, case, prev, m0, params)
         level = build_level(work, prev, prev.breakpoints[-1], k_next, case, params)
-        levels.append(_verify_level(work, level, params))
+        levels.append(_verify_level(work, level, params, prev.elements if prev.level else None))
     return tuple(levels[1:])
 
 

@@ -4,6 +4,7 @@ without its pure-Python encoder, in bounded extra memory."""
 import json
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -90,3 +91,9 @@ def test_dumps_peak_memory_stays_near_the_text():
         tracemalloc.stop()
     assert len(agg.elements) == 2**16
     assert peak < 3 * len(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(INTS, st.sampled_from([2, 3, 5]), st.integers(0, 40))
+def test_denormalized_text_is_the_fraction_text(e, N, m):
+    assert certificates._scaled_text(e, N**m) == str(Fraction(e, N**m))

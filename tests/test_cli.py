@@ -4,10 +4,12 @@ import json
 import time
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 import moran
+from moran import spectra
 from moran.cli import main
 from moran.system import SSkeleton
 
@@ -259,6 +261,7 @@ def test_verify_rejects_verification_records(conf, capsys, tmp_path):
 
 SPECTRUM_CERT = (EX1, ["spectrum", "--levels", "1"])
 SPECTRUM_CERT_2 = (EX1, ["spectrum", "--levels", "2"])
+SPECTRUM_CERT_3 = (EX1, ["spectrum", "--levels", "3"])
 TILE_CERT = (QUARTER, ["tile", "--k", "3"])
 TERNARY_TILE_CERT = (TERNARY, ["tile", "--k", "3"])
 
@@ -273,6 +276,14 @@ def _skipped_breakpoint(payload):
 
 def _far_breakpoint(payload):
     payload["levels"][0]["breakpoints"] = [0, 20000]
+
+
+def _negated_level(payload):
+    # -Λ_2 is still a spectrum of the level-4 measure, with the same tail
+    # moduli, but it does not contain Λ_1
+    record = payload["levels"][1]
+    record["elements"] = [-e for e in record["elements"]]
+    record["denormalized"] = [str(Fraction(e, payload["denominator"])) for e in record["elements"]]
 
 
 # json.dumps cannot write an integer of over 4,300 digits, so a case
@@ -292,6 +303,14 @@ _NINES = "<5,000 nines>"
         (SPECTRUM_CERT_2, lambda p: p["levels"].reverse(), 3, "record 0: 'level' must be the integer 1"),
         (SPECTRUM_CERT_2, lambda p: p["levels"].pop(0), 3, "record 0: 'level' must be the integer 1"),
         (SPECTRUM_CERT_2, _skipped_breakpoint, 3, "'breakpoints' must extend record 0's by one entry"),
+        (
+            SPECTRUM_CERT_3,
+            _negated_level,
+            1,
+            "FAIL level-2-nesting (element 81 of the level before is missing)\n"
+            "PASS level-2-orthogonality\nPASS level-2-tail\nPASS level-2-scaling\n"
+            "PASS level-3-cardinality\nFAIL level-3-nesting (element -81 of the level before is missing)",
+        ),
         (
             SPECTRUM_CERT,
             lambda p: p["levels"][0]["elements"].__setitem__(1, 0),
@@ -322,6 +341,7 @@ _NINES = "<5,000 nines>"
         "levels-reversed",
         "level-1-dropped",
         "breakpoints-not-nested",
+        "level-2-negated",
         "repeated-element",
         "tile-missing-complement",
         "tile-float-digit",
@@ -350,6 +370,48 @@ def test_verify_rejects_hollow_or_malformed_levels(conf, capsys, tmp_path, sourc
     if code == 1:
         assert "result: FAIL" in out
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("value", ["4097", "300000"])
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["spectrum", "--levels", "1"], "depth"),
+        (["analyze"], "window"),
+    ],
+    ids=["spectrum-depth", "analyze-window"],
+)
+def test_depth_and_window_over_the_cap_are_usage_errors(conf, capsys, argv, option, value):
+    # both keep every prefix product up to the index, so a large value
+    # would end in a MemoryError; 4,096 is the cap
+    command, *options = argv
+    code, out, err = run(capsys, [command, conf(EX1 + f"option.{option} = {value}\n"), *options])
+    assert (code, out) == (3, "")
+    assert f"option.{option}: expected at most 4096, got {value}" in err
+    code, out, err = run(capsys, [command, conf(EX1), *options, f"--{option}", value])
+    assert (code, out) == (3, "")
+    assert err == f"error: --{option}: expected at most 4096, got {value}\n"
+
+
+def test_orthogonality_walks_no_pair_on_passing_levels(conf, capsys, tmp_path, monkeypatch):
+    # the digit tree decides passing levels; the pair walk only names the
+    # witness of a failure
+    walks = []
+    walk = spectra._first_witness
+    monkeypatch.setattr(spectra, "_first_witness", lambda elems, *rest: walks.append(len(elems)) or walk(elems, *rest))
+    for text, levels in ((EX1, "4"), (EX2, "2")):  # k = 8 and k = 7
+        cfg = conf(text)
+        cert = tmp_path / "cert.json"
+        assert run(capsys, ["spectrum", cfg, "--levels", levels, "--out", str(cert)])[0] == 0
+        assert run(capsys, ["verify", cfg, str(cert)])[0] == 0
+    assert walks == []
+    data = json.loads(cert.read_text())
+    data["payload"]["levels"][-1]["elements"][-1] += 1
+    cert.write_text(json.dumps(data))
+    code, out, _ = run(capsys, ["verify", cfg, str(cert)])
+    assert code == 1
+    assert "FAIL level-3-orthogonality (difference " in out
+    assert walks == [128]
 
 
 def test_verify_bounds_the_stated_scale_exponent(conf, capsys, tmp_path):

@@ -107,6 +107,14 @@ def test_build_params_precedence():
     assert cfg.build_params(depth=None).depth == 8
 
 
+def test_depth_and_window_stop_at_the_cap():
+    cfg = parse_config_text(EX1_TEXT + "option.depth = 4096\noption.window = 4096\n")
+    assert (cfg.options["depth"], cfg.options["window"]) == (4096, 4096)
+    for option in ("depth", "window"):
+        with pytest.raises(ParseError, match=f"option.{option}: expected at most 4096, got 4097"):
+            parse_config_text(EX1_TEXT + f"option.{option} = 4097\n")
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ParseError, match="cannot read"):
         load_config(tmp_path / "absent.conf")

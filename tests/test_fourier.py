@@ -12,15 +12,18 @@ import math
 import random
 from fractions import Fraction
 from math import pi, prod
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moran import fourier
 from moran.errors import HorizonError, UnsupportedCaseError
 from moran.fourier import (
     TailKernel,
+    _residue_products,
     m_factor,
     mu_hat_k,
     mu_hat_shifted_grid,
@@ -46,6 +49,18 @@ def ref_m(N, t, x):
 def ref_m_exact(N, t, x):
     # the Fraction path summed over all N terms, exp(0) included
     return sum(cmath.exp(2j * pi * float((j * Fraction(t) * x) % 1)) for j in range(N)) / N
+
+
+def ref_residue_point(N, factors, p, q):
+    # one point in CPython complex arithmetic: each phase j*t*p/(q*B)
+    # reduced modulo 1 as a Fraction, then one cmath.exp per term
+    value = complex(1)
+    for t, B in factors:
+        total = complex(1)
+        for j in range(1, N):
+            total += cmath.exp(2j * pi * float(Fraction(j * t * p, q * B) % 1))
+        value *= total / N
+    return value
 
 
 def ref_point_tail(sys, k, M, x):
@@ -353,6 +368,26 @@ def test_tail_kernel_matches_reference_loop_bit_for_bit(sys, k, M, xi):
         # searches pass them, land on the same bits
         p, q = Fraction(xi).numerator, Fraction(xi).denominator
         assert bits(kernel.exact(-7 * p, -7 * q)) == want
+
+
+nonzero = st.one_of(st.integers(-40, 40), st.integers(-(2**70), 2**70)).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.lists(st.tuples(nonzero, nonzero), max_size=6),
+    st.lists(st.one_of(st.integers(-1000, 1000), st.integers(-(2**90), 2**90)), max_size=12),
+    nonzero,
+)
+def test_residue_kernel_matches_the_per_point_exp_bit_for_bit(N, factors, ps, q):
+    # float.hex, so a signed zero counts; numerators pass 2^64, and q and
+    # the scale products take either sign
+    want = [complex_bits(ref_residue_point(N, factors, p, q)) for p in ps]
+    assert [complex_bits(v) for v in _residue_products(N, factors, ps, q)] == want
+    # one factor per group of phases, as for a long list of numerators
+    with mock.patch.object(fourier, "_PHASES", 1):
+        assert [complex_bits(v) for v in _residue_products(N, factors, ps, q)] == want
 
 
 grid_floats = st.one_of(

@@ -12,8 +12,9 @@ the exact rational evaluation below. The analyze digests were taken from
 the existence series summed over three general sequences, before it
 became the tail series that truncation uses. The verify-record digests
 were taken while the builder and the replay still ran their level
-checks separately; the tile ones while the replay reduced every element
-one by one and checked the cover residue by residue. The signed nu_tail, benchmark-shaped Q and signed
+checks separately, and the three spectrum ones re-taken when every level
+past the first gained its nesting row; the tile ones while the replay
+reduced every element one by one and checked the cover residue by residue. The signed nu_tail, benchmark-shaped Q and signed
 mu_hat digests were taken from the per-point tail loop and from N-term
 sums that still evaluated exp(0) for the d = 0 term.
 """
@@ -46,6 +47,12 @@ GOLDEN = [
         EX2,
         ["spectrum", "--levels", "2"],
         "3cd85434345ab0b4d8e048879019a187d395bc06c06b0679acf1a0f437ab2136",
+    ),
+    # k=12, 4,096 elements: taken from the pair walk and the per-element tail loop
+    (
+        EX1,
+        ["spectrum", "--levels", "6"],
+        "1d3d2a5ae5cdc637a590de875fbe2d24385fe8129c3caaa4ae56afe004a33f26",
     ),
     (
         EX1,
@@ -106,6 +113,7 @@ GOLDEN = [
     ids=[
         "recurrent",
         "persistent",
+        "recurrent-k12",
         "nu-tail",
         "q",
         "mu-hat",
@@ -178,9 +186,9 @@ def _move_last_complement(payload):
 
 
 VERIFY_GOLDEN = [
-    (EX1, ["spectrum", "--levels", "4"], None, 0, "745debe3f895d8e14c5d3d271273b937040f5df70ae31d6aac37fb7649279b65"),
-    (EX2, ["spectrum", "--levels", "2"], None, 0, "609b0204b8aa7e2d552cf755130ffde1875f60c3760ef2108183c6c15177e3b9"),
-    (EX1, ["spectrum", "--levels", "2"], _tamper, 1, "07f000340949643a8dae1f895317dd548477d1e28bc9d34e1eceac98e5d4504e"),
+    (EX1, ["spectrum", "--levels", "4"], None, 0, "3bc842ba2cc47090bd26ce0af4ed30e70d1e92b009aed3ffc9423ab34555e282"),
+    (EX2, ["spectrum", "--levels", "2"], None, 0, "08cefebff2987d4b3ee5bbc96b577b97ba9931aabeb088caa9f3d6f2fc47a782"),
+    (EX1, ["spectrum", "--levels", "2"], _tamper, 1, "70eaf59d97196a648214517d2eaaada259cfe108e3aa6be0eadb467809890c40"),
     (EX1, ["tile", "--k", "12"], None, 0, "34f9dbe23302d9ee3b1c08be8cf41bbc8faf2866f7e58313ee9452fa2235d62a"),
     (QUARTER, ["tile", "--k", "6"], None, 0, "4a66ad09ccbfe5c4f196ca7b6748b1cd8fa8c2de41b7a3b8fa36de6d4220354d"),
     (TERNARY, ["tile", "--k", "4"], None, 0, "ef78f44ba08736dc19926a16fafebdd12c1f2f95dfb896e490d491774dbde043"),

@@ -409,6 +409,12 @@ def test_verify_orthogonal_matches_pairwise_oracle(built, data):
         assert verify_orthogonal(work, lv.elements, k) == ref_verify_orthogonal(
             work, lv.elements, k
         ) == (True, None)
+    # a subset of a spectrum, translated, keeps every difference it has
+    sub = data.draw(st.lists(st.sampled_from(levels[-1].elements), unique=True))
+    shift = data.draw(st.integers(-(10**30), 10**30))
+    sub = [e + shift for e in sub]
+    k = levels[-1].breakpoints[-1]
+    assert verify_orthogonal(work, sub, k) == ref_verify_orthogonal(work, sub, k) == (True, None)
     # one element moved, so some difference usually leaves the zero set
     lam = list(levels[-1].elements)
     k = levels[-1].breakpoints[-1]
@@ -418,6 +424,30 @@ def test_verify_orthogonal_matches_pairwise_oracle(built, data):
     assume(len(set(lam)) == len(lam))
     for level in (k, k - 1):
         assert verify_orthogonal(work, lam, level) == ref_verify_orthogonal(work, lam, level)
+
+
+SMALL_SYSTEMS = [
+    example_1(normalized=True),
+    example_2(normalized=True),
+    MoranSystem(3, SequenceSpec.periodic([9]), SequenceSpec.periodic([1, 4])),
+    # s_1 = s_2 = 0: two components share an exponent, so the pair walk decides
+    MoranSystem(2, SequenceSpec.periodic([2, 6]), SequenceSpec.periodic([1, 2])),
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(SMALL_SYSTEMS), st.integers(1, 4), st.data())
+def test_verify_orthogonal_matches_pairwise_oracle_on_small_sets(sys, k, data):
+    sk = sys.skeleton
+    # multiples of a generator N^(s_j) * bold_b(j) often pass; other steps
+    # mostly fail
+    gens = [sys.N ** sk.s(j) * sk.bold_b(j) for j in range(1, k + 1)]
+    step = data.draw(st.one_of(st.sampled_from(gens), st.integers(1, 500)))
+    coeffs = data.draw(st.lists(st.integers(-40, 40), min_size=2, max_size=8, unique=True))
+    lam = [c * step for c in coeffs]
+    got = verify_orthogonal(sys, lam, k)
+    event(f"passes: {got[0]}")
+    assert got == ref_verify_orthogonal(sys, lam, k)
 
 
 def test_orthogonality_agrees_with_numeric_transform():
