@@ -110,10 +110,15 @@ def _residue_products(N: int, factors, ps, q: int) -> np.ndarray:
 
     Each phase j*t*p/(q*B) is reduced modulo 1 as an integer residue
     over |q*B|; the one rounding is the correctly rounded quotient of the
-    two integers, so huge arguments lose no precision, and every value has
-    the bits of m_factor's Fraction path. The means come from one array of
-    phases per group of factors: as many factors as fit in _PHASES phases,
-    and at least one.
+    two integers, so huge arguments lose no precision. The means come
+    from one array of phases per group of factors: as many factors as fit
+    in _PHASES phases, and at least one, so a small batch pays for one
+    cos and one sin call per group rather than per factor.
+
+    Every value has the bits of the per-point complex loop over
+    cmath.exp as long as numpy's float64 cos and sin return the bits of
+    libm's (math.cos, math.sin), which cmath.exp uses; certificate tail
+    bounds rest on that, and tests/test_fourier.py checks it.
     """
     group = max(1, _PHASES // max(1, (N - 1) * len(ps)))
 
@@ -208,15 +213,10 @@ class TailKernel:
 
     def exact_many(self, ps, q: int):
         """(values, errs) at the rationals p/q for every integer p in ps,
-        for an integer q != 0, from exact integer residues
-        (_residue_products). Each pair has the bits of exact(p, q)."""
+        for an integer q != 0, in one call of _residue_products; each err
+        is the bound __call__ gives at p/q."""
         ratios = np.array([abs(p / q) for p in ps], dtype=float)
         return _residue_products(self.N, self._factors, ps, q), self._err_scale * ratios * self._ratio
-
-    def exact(self, p: int, q: int):
-        """(value, err) at the rational p/q, for integers p and q != 0."""
-        values, errs = self.exact_many([p], q)
-        return complex(values[0]), float(errs[0])
 
 
 def nu_hat_tail(sys: MoranSystem, k: int, xi, M: int):

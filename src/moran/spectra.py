@@ -43,7 +43,6 @@ from .system import (
 from .tiling import ELEMENT_CAP, aggregate
 
 _FACTOR_FLOOR = 1e-6
-_TAIL_CHUNK = 64  # the first batch of offset-search tails; each next one doubles
 
 
 @dataclass(frozen=True)
@@ -256,17 +255,6 @@ def _window_order(K):
         yield -z
 
 
-def _tails_at(tail, nums, shift, q):
-    """(value, err) of the tail at (n + shift) / q for each n in nums, in
-    order, in batches that double, so a search that stops early evaluates
-    at most twice the tails it reads, plus the first batch."""
-    at, size = 0, _TAIL_CHUNK
-    while at < len(nums):
-        values, errs = tail.exact_many([n + shift for n in nums[at : at + size]], q)
-        yield from zip(values.tolist(), errs.tolist())
-        at, size = at + size, 2 * size
-
-
 def _qualifying_offset(tails, params):
     """First offset z in window order whose tail lower bounds all clear C.
 
@@ -329,15 +317,19 @@ def build_level(
     block = build_block(sys, k_prev, k_next, case, alpha)
     Bm = sys.b_product(block.anchor)
     tail = TailKernel(sys, block.anchor, params.depth)
+
+    def tails(shift):
+        # the tail at (lp + shift) / Bm for every lp, in one batch
+        values, errs = tail.exact_many([lp + shift for lp in prev.elements], Bm)
+        return zip(values.tolist(), errs.tolist())
+
     offsets = []
     out = []
     for lam_b in block.elements:
         if lam_b == 0:
             z = 0
         else:
-            # the tail is certified at (lp + lam_b + z*Bm) / Bm for every lp
-            nums = [lp + lam_b for lp in prev.elements]
-            z = _qualifying_offset(lambda z: _tails_at(tail, nums, z * Bm, Bm), params)
+            z = _qualifying_offset(lambda z: tails(lam_b + z * Bm), params)
         offsets.append(z)
         shifted = lam_b + Bm * z
         out.extend(lp + shifted for lp in prev.elements)

@@ -367,7 +367,8 @@ def test_tail_kernel_matches_reference_loop_bit_for_bit(sys, k, M, xi):
         # unreduced numerators over a negative denominator, as offset
         # searches pass them, land on the same bits
         p, q = Fraction(xi).numerator, Fraction(xi).denominator
-        assert bits(kernel.exact(-7 * p, -7 * q)) == want
+        values, errs = kernel.exact_many([-7 * p], -7 * q)
+        assert bits((complex(values[0]), float(errs[0]))) == want
 
 
 nonzero = st.one_of(st.integers(-40, 40), st.integers(-(2**70), 2**70)).filter(bool)
@@ -388,6 +389,23 @@ def test_residue_kernel_matches_the_per_point_exp_bit_for_bit(N, factors, ps, q)
     # one factor per group of phases, as for a long list of numerators
     with mock.patch.object(fourier, "_PHASES", 1):
         assert [complex_bits(v) for v in _residue_products(N, factors, ps, q)] == want
+
+
+def test_numpy_cos_sin_have_the_bits_of_libm():
+    # the batched exact kernel runs np.cos/np.sin where the per-point loop
+    # ran cmath.exp, whose parts are libm's cos and sin; certificate tail
+    # bounds keep their bytes only while the two agree bit for bit
+    rng = random.Random(20)
+    dens = [rng.randint(1, 2**70) for _ in range(3000)]
+    thetas = [(2 * pi) * (rng.randrange(den) / den) for den in dens]
+    thetas += [rng.uniform(-1e6, 1e6) for _ in range(1000)]
+    thetas += [0.0, -0.0, pi, 2 * pi, pi / 2]
+    cos = [x.hex() for x in np.cos(np.array(thetas)).tolist()]
+    sin = [x.hex() for x in np.sin(np.array(thetas)).tolist()]
+    assert cos == [math.cos(x).hex() for x in thetas]
+    assert sin == [math.sin(x).hex() for x in thetas]
+    exps = [cmath.exp(complex(0.0, x)) for x in thetas]
+    assert [(z.real.hex(), z.imag.hex()) for z in exps] == list(zip(cos, sin))
 
 
 grid_floats = st.one_of(
