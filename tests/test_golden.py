@@ -10,7 +10,9 @@ or refactored path has to write the very same bytes. The mu_hat digest
 was taken from the shifted grid at shift 0; its rows are checked against
 the exact rational evaluation below. The analyze digests were taken from
 the existence series summed over three general sequences, before it
-became the tail series that truncation uses. The verify-record digests
+became the tail series that truncation uses; the collider and
+case-II-preperiodic ones from the windowed distinctness, tail-minimum
+and breakpoint scans, before the periodic normal form replaced them. The verify-record digests
 were taken while the builder and the replay still ran their level
 checks separately, and the three spectrum ones re-taken when every level
 past the first gained its nesting row; the tile ones while the replay
@@ -36,6 +38,9 @@ TERNARY = "N = 3\nb.period = 9\nt.period = 1 4\n"
 SIGNED = "N = 3\nb.preperiod = -5\nb.period = 9 -12\nt.preperiod = 2\nt.period = 1 -1\n"
 # t_k = 9 * 18^(k-1): the 20 entries outlast the default depth of 16
 PREFIX = "N = 2\nb.period = 18\nt.prefix = " + " ".join(str(9 * 18**i) for i in range(20)) + "\n"
+COLLIDER = "N = 2\nb.period = 2 6\nt.period = 1 2\n"
+# case II with its last breakpoint inside the preperiod (k0 = 2)
+LATE = "N = 2\nb.preperiod = 4 2\nb.period = 18\nt.preperiod = 8\nt.period = 1 16\n"
 
 GOLDEN = [
     (
@@ -141,11 +146,15 @@ ANALYZE_GOLDEN = [
     (EX2, "a3e2992ce4133f8ca486de6a0a4c4045b756f84c0e06b7d4da4e704f0defbabe"),
     (SIGNED, "8ec27a2abbee1556f13f3dc0ec24ace16693915616dd603304949293d541d0ee"),
     (PREFIX, "b0f217789e6c0ef85ef372024faa9714a563f8d5a51acc7838c2ddca2f9922a6"),
+    (COLLIDER, "a14601bd638c72dd94647fcc6b28563ac980caa9c2bad914b981b04d192fc43a"),
+    (LATE, "a26f80e924c0a85491f26d011fbca12bb017260a2023e8b3ff28fec937ace720"),
 ]
 
 
 @pytest.mark.parametrize(
-    "text,digest", ANALYZE_GOLDEN, ids=["recurrent", "persistent", "signed-preperiodic", "prefix"]
+    "text,digest",
+    ANALYZE_GOLDEN,
+    ids=["recurrent", "persistent", "signed-preperiodic", "prefix", "collider", "case-ii-preperiodic"],
 )
 def test_analyze_report_is_pinned(tmp_path, capsys, text, digest):
     config = tmp_path / "system.conf"
