@@ -112,7 +112,7 @@ def cmd_analyze(cfg, args) -> int:
         )
         print("classification: not applicable while exponents collide")
     else:
-        scope = "all k" if check.certified_all else f"window {check.window} only"
+        scope = "all k" if check.window is None else f"window {check.window} only"
         print(f"distinctness: pairwise distinct ({scope})")
         case = case_classify(system, window, check)
         if isinstance(case, CaseI):

@@ -35,6 +35,8 @@ def _parse_positive_int(raw, where):
 
 # The most indices a tail depth or an analyze window may reach: both keep
 # every prefix product b_1...b_n up to that index, in memory quadratic in it.
+# The offset search radius K shares the cap: a failing search tries 2K+1
+# offsets per element.
 DEPTH_CAP = 4096
 
 
@@ -99,7 +101,7 @@ def _parse_grid(raw: str, where: str):
 
 _OPTION_PARSERS = {
     "depth": _parse_depth,
-    "K": _parse_positive_int,
+    "K": _parse_depth,
     "window": _parse_depth,
     "C": _parse_finite,
     "epsilon0": _parse_finite,

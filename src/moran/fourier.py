@@ -9,7 +9,7 @@ exact value 1, which has the bits exp(0) would give.
 """
 
 from fractions import Fraction
-from math import isfinite, pi
+from math import inf, isfinite, pi
 
 import numpy as np
 
@@ -170,6 +170,13 @@ def _product(N: int, factors, xi, what: str) -> complex:
     return complex(_float_product(N, factors, np.array([xi], dtype=float), what)[0])
 
 
+def _abs_ratio(p: int, q: int) -> float:
+    try:
+        return abs(p / q)
+    except OverflowError:
+        return inf
+
+
 class TailKernel:
     """The truncated tail transform past level k, set up once for reuse.
 
@@ -214,8 +221,9 @@ class TailKernel:
     def exact_many(self, ps, q: int):
         """(values, errs) at the rationals p/q for every integer p in ps,
         for an integer q != 0, in one call of _residue_products; each err
-        is the bound __call__ gives at p/q."""
-        ratios = np.array([abs(p / q) for p in ps], dtype=float)
+        is the bound __call__ gives at p/q, and inf where |p/q| is past
+        the float range."""
+        ratios = np.array([_abs_ratio(p, q) for p in ps], dtype=float)
         return _residue_products(self.N, self._factors, ps, q), self._err_scale * ratios * self._ratio
 
 

@@ -2,9 +2,16 @@
 
 The integer skeleton s_k = tau_N(b_1...b_k) - tau_N(t_k) - 1 drives every
 tiling and spectral decision in the package. For eventually periodic
-sequences s gains a fixed increment per period (the drift), so each
-"for every k" claim below reduces to a finite scan; every certification
-site documents the window arithmetic it relies on.
+sequences s has one normal form: with preperiod P, period p, preperiod
+values pre = (s_1..s_P), class values c_r = s_{P+r} (r = 1..p) and drift
+D = v_N(b_{P+1}...b_{P+p}) >= 0,
+
+    s_{P+r+qp} = c_r + q*D    for every q >= 0.
+
+Every "for every k" question about s (distinctness, tail minima, the
+last index not above s_k, the global minimum) is a question about the
+arithmetic progressions c_r + qD and the finite list pre, answered in
+closed form without a window.
 
 Conventions: sequences are 1-based; b products written B_k mean b_1*...*b_k;
 "prefix mode" means a finite sequence with a declared horizon and no claims
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import count
 from math import lcm
 from typing import Optional, Union
 
@@ -131,7 +139,8 @@ class MoranSystem:
 
 class SSkeleton:
     """Per-index cache of s_k, N-free parts b'_k / t'_k, their products
-    bold_b_k, and the periodic-drift data used for certification.
+    bold_b_k, and for periodic specs the normal form (P, p, drift, pre,
+    c) of the module docstring.
 
     The memo lists are append-only and filled on demand; an extension
     appends to each list in turn, so instances are not safe to share
@@ -140,7 +149,6 @@ class SSkeleton:
 
     def __init__(self, sys: MoranSystem):
         self.sys = sys
-        N = sys.N
         self._tau_b = [0]  # tau_N(b_1..b_k) at index k
         self._bprod = [1]  # b_1..b_k
         self._bold = [1]  # b'_1..b'_k
@@ -148,18 +156,14 @@ class SSkeleton:
         self._b_free = [None]
         self._t_free = [None]
         self._head_max = [None]
+        self.P = self.p = self.drift = self.pre = self.c = None
         if sys.is_periodic:
-            self.P = max(len(sys.b.preperiod), len(sys.t.preperiod))
-            self.p = lcm(len(sys.b.period), len(sys.t.period))
-            self.drift = sum(
-                _valuation_unchecked(sys.b.entry(self.P + 1 + i), N).exponent
-                for i in range(self.p)
-            )
-        else:
-            self.P = None
-            self.p = None
-            self.drift = None
-        self._base_stats = None
+            P = self.P = max(len(sys.b.preperiod), len(sys.t.preperiod))
+            p = self.p = lcm(len(sys.b.period), len(sys.t.period))
+            self._extend(P + p)
+            self.drift = self._tau_b[P + p] - self._tau_b[P]
+            self.pre = tuple(self._s[1 : P + 1])
+            self.c = tuple(self._s[P + 1 : P + p + 1])
 
     @property
     def is_periodic(self) -> bool:
@@ -216,87 +220,72 @@ class SSkeleton:
         self._extend(k)
         return self._head_max[k]
 
-    def first_repeat(self, n: int):
+    def distinct_all(self) -> bool:
+        """Whether s_1, s_2, ... are pairwise distinct over ALL indices.
+
+        Periodic specs only. Two class progressions c_r + qD and
+        c_r' + q'D (q, q' >= 0) meet iff D = 0 or c_r = c_r' (mod D), and
+        a preperiod value v lies on c_r + qD iff v = c_r (mod D) and
+        v >= c_r; so the s_k are distinct iff D > 0, pre has no repeat,
+        the c_r are distinct mod D, and no such v exists.
+        """
+        D = self.drift
+        if D == 0 or len(set(self.pre)) < len(self.pre):
+            return False
+        if len({c % D for c in self.c}) < len(self.c):
+            return False
+        return not any(v >= c and (v - c) % D == 0 for v in self.pre for c in self.c)
+
+    def first_repeat(self, n: Optional[int] = None):
         """The first pair (i, j), i < j <= n, with s_i = s_j, or None.
 
         Pairs are ordered by j, so the scan reads s no further than the
-        first repeat. A periodic scan also stops at cert_window(): by the
-        drift argument of distinctness_check the first repeat, if there
-        is one, lies inside that window, so a huge n costs nothing more.
-        This is the one distinctness scan: the tiling decision, its
-        complement and distinctness_check all use it.
+        first repeat. A periodic system that distinct_all() clears has no
+        repeat at any n and is not scanned; any other periodic system has
+        a repeat, so its scan ends there however large n is, and n = None
+        (no bound, periodic specs only) finds it. This is the one
+        distinctness scan: the tiling decision, its complement and
+        distinctness_check all use it.
         """
-        if self.is_periodic:
-            n = min(n, self.cert_window())
+        if self.is_periodic and self.distinct_all():
+            return None
         first_seen = {}
-        for j in range(1, n + 1):
+        for j in count(1) if n is None else range(1, n + 1):
             v = self.s(j)
             if v in first_seen:
                 return first_seen[v], j
             first_seen[v] = j
         return None
 
-    # -- periodic-drift machinery ------------------------------------------
+    def report_window(self) -> int:
+        """How far analyze reports the case classification, drift > 0.
 
-    def base_stats(self):
-        """(v_min, v_max) of s over the periodic base window (P, P+p], plus
-        R = spread of s over [1, P+2p]. Periodic specs only."""
-        if not self.is_periodic:
-            raise HorizonError("periodic structure required")
-        if self._base_stats is None:
-            P, p = self.P, self.p
-            vals_base = [self.s(j) for j in range(P + 1, P + p + 1)]
-            vals_all = [self.s(j) for j in range(1, P + 2 * p + 1)]
-            self._base_stats = (
-                min(vals_base),
-                max(vals_base),
-                max(vals_all) - min(vals_all),
-            )
-        return self._base_stats
-
-    def cert_window(self) -> int:
-        """Window size past which s-comparisons are forced by the drift.
-
-        With drift D > 0 the value at class r and level q is s_{P+r} + q*D,
-        so two indices can only compare non-trivially when their levels
-        differ by at most R/D; preperiod + (ceil(R/D) + 3) periods covers
-        every undecided comparison.
+        With R the spread of s over [1, P+2p], the preperiod plus
+        ceil(R/D) + 4 periods: past P + (ceil(R/D) + 3) periods every
+        comparison of s is decided by the drift, so the last period
+        shown repeats forever.
         """
-        if not self.is_periodic:
-            raise HorizonError("periodic structure required")
-        if self.drift == 0:
-            return self.P + 2 * self.p
-        _, _, R = self.base_stats()
-        return self.P + (-(-R // self.drift) + 3) * self.p
+        D = self.drift
+        R = max(self.pre + tuple(c + D for c in self.c)) - min(self.pre + self.c)
+        return self.P + (-(-R // D) + 4) * self.p
 
     def tail_min(self, k: int) -> int:
-        """min{s_j : j > k}, certified.
-
-        For j past the scanned range every class sits at a strictly higher
-        drift level than a scanned occurrence, so the scan minimum is the
-        true infimum (drift > 0); with drift 0 one extra period repeats all
-        tail values.
-        """
+        """min{s_j : j > k}, exact: the least of pre[k:] and, on each
+        class r, c_r + q_r*D at the first q_r >= 0 with P + r + q_r*p > k
+        (the progression never falls, D >= 0)."""
         if not self.is_periodic:
             raise HorizonError("tail minimum undecidable for finite prefix")
         P, p, D = self.P, self.p, self.drift
-        if D == 0:
-            J = max(k, P) + p
-        else:
-            _, _, R = self.base_stats()
-            J = max(k, P) + (-(-R // D) + 2) * p
-        return min(self.s(j) for j in range(k + 1, J + 1))
+        firsts = (c + max(0, (k - P - r) // p + 1) * D for r, c in enumerate(self.c, 1))
+        return min((*self.pre[k:], *firsts))
 
     def min_s(self) -> int:
-        """Global minimum of s over the decidable range (periodic: certified
-        by the nonnegative drift; prefix: the window minimum)."""
+        """Global minimum of s: min(pre + c) for periodic specs (the
+        progressions never fall), the minimum up to the horizon for a
+        prefix (0 for an empty one)."""
         if self.is_periodic:
-            upto = self.P + 2 * self.p
-        else:
-            upto = self.sys.horizon
-            if upto == 0:
-                return 0
-        return min(self.s(k) for k in range(1, upto + 1))
+            return min(self.pre + self.c)
+        return min((self.s(k) for k in range(1, self.sys.horizon + 1)), default=0)
 
 
 # -- result types ----------------------------------------------------------
@@ -304,8 +293,7 @@ class SSkeleton:
 
 @dataclass(frozen=True)
 class Distinct:
-    window: int
-    certified_all: bool
+    window: Optional[int]  # None: decided for all k
 
 
 @dataclass(frozen=True)
@@ -379,24 +367,17 @@ def distinctness_check(
 ) -> Union[Distinct, Collision]:
     """Decide whether the s_k are pairwise distinct.
 
-    Periodic specs are decided for ALL indices: with drift 0 the values
-    repeat each period (so a collision always exists and is found within
-    preperiod + two periods); with positive drift any collision reappears
-    translated one period earlier, hence a minimal collision lives inside
-    the certification window. Prefix specs are reported on the window only.
-    Collision carries the smallest witnessing pair.
+    Periodic specs are decided for ALL indices by SSkeleton.distinct_all,
+    in closed form; a system it refuses has a repeat, and the scan ends at
+    the first one. Prefix specs are reported on the window only.
+    Collision carries the smallest witnessing pair (smallest j, then i).
     """
     sk = sys.skeleton
     if sys.is_periodic:
-        scan_to = sk.cert_window()
-        certified = True
-    else:
-        scan_to = sys.horizon if window is None else min(window, sys.horizon)
-        certified = False
+        return Distinct(None) if sk.distinct_all() else Collision(*sk.first_repeat())
+    scan_to = sys.horizon if window is None else min(window, sys.horizon)
     pair = sk.first_repeat(scan_to)
-    if pair is not None:
-        return Collision(*pair)
-    return Distinct(scan_to, certified)
+    return Distinct(scan_to) if pair is None else Collision(*pair)
 
 
 def breakpoint_predicate(sys: MoranSystem, k: int) -> bool:
@@ -412,11 +393,13 @@ def case_classify(
 ) -> Union[CaseI, CaseII, Undetermined]:
     """Classify the system by whether later s eventually dominate earlier s.
 
-    Relies on the verdicts being eventually periodic: past the certification
-    window both the running head maximum and the certified tail minimum gain
-    exactly drift per period, so the pattern over one further period is the
-    pattern forever. A caller that already holds the distinctness_check
-    verdict passes it as check, and the scan is not run again.
+    Relies on the verdicts being eventually periodic: in the last period of
+    SSkeleton.report_window() both the running head maximum and the exact
+    tail minimum gain exactly drift per period, so the pattern over that
+    period is the pattern forever. The breakpoints are listed up to that
+    window, or to window if it is larger. A caller that already holds the
+    distinctness_check verdict passes it as check, and it is not decided
+    again.
     """
     if check is None:
         check = distinctness_check(sys)
@@ -427,43 +410,35 @@ def case_classify(
         )
     if not sys.is_periodic:
         return Undetermined("finite prefix: tail behavior beyond horizon unknown")
-    sk = sys.skeleton
-    W = sk.cert_window()
-    p = sk.p
-    report_to = max(window or 0, W + p)
-    verdicts = {k: breakpoint_predicate(sys, k) for k in range(1, report_to + 1)}
-    final = [verdicts[k] for k in range(W + 1, W + p + 1)]
-    if any(final):
-        bps = tuple(k for k in range(1, report_to + 1) if verdicts[k])
+    L, p = sys.skeleton.report_window(), sys.skeleton.p
+    report_to = max(window or 0, L)
+    bps = tuple(k for k in range(1, report_to + 1) if breakpoint_predicate(sys, k))
+    if any(L - p < k <= L for k in bps):
         return CaseI(bps, report_to, p)
-    last_bp = max((k for k in range(1, W + p + 1) if verdicts[k]), default=0)
-    return CaseII(last_bp + 1, W + p)
+    return CaseII(max(bps, default=0) + 1, L)
 
 
 def frak_n(sys: MoranSystem, k: int, margin: Optional[int] = None) -> int:
     """max{j >= k : s_k >= s_j}, certified finite.
 
-    Periodic specs with positive drift certify directly: beyond
-    P + (floor((s_k - v_min)/drift) + 2) periods every class value exceeds
-    s_k. Prefix specs certify only s_j > s_k on a trailing margin inside the
-    horizon and refuse when the margin does not fit.
+    Periodic specs with positive drift read it off the normal form: the
+    largest of k, the preperiod indices j with s_j <= s_k, and on each
+    class r with c_r <= s_k its last index P + r + floor((s_k - c_r)/D)*p
+    not above s_k. Prefix specs certify only s_j > s_k on a trailing
+    margin inside the horizon and refuse when the margin does not fit.
     """
     sk = sys.skeleton
     sv = sk.s(k)
     if sys.is_periodic:
-        if sk.drift == 0:
+        P, p, D = sk.P, sk.p, sk.drift
+        if D == 0:
             raise PreconditionError(
                 "zero period drift: s repeats, frak_n is unbounded or "
                 "distinctness already fails"
             )
-        v_min, _, _ = sk.base_stats()
-        q_min = max(0, (sv - v_min) // sk.drift + 1)
-        J = max(k, sk.P + (q_min + 1) * sk.p)
-        best = k
-        for j in range(k, J + 1):
-            if sk.s(j) <= sv:
-                best = j
-        return best
+        in_pre = [j for j, v in enumerate(sk.pre, 1) if v <= sv]
+        on_classes = [P + r + (sv - c) // D * p for r, c in enumerate(sk.c, 1) if c <= sv]
+        return max([k, *in_pre, *on_classes])
     H = sys.horizon
     margin = _PREFIX_CERT_MARGIN if margin is None else margin
     best = k
@@ -552,9 +527,8 @@ def normalize(sys: MoranSystem):
     If nu(E) := mu(N^m E) then nu is the system with b_1 replaced by
     N^m b_1 (same digits), nu_hat(xi) = mu_hat(xi / N^m), and Lambda is a
     spectrum of mu iff N^m Lambda is a spectrum of nu; spectra built for the
-    returned system are divided by N^m on output. The minimum of s over
-    preperiod + two periods is the global minimum because class values only
-    gain drift.
+    returned system are divided by N^m on output. SSkeleton.min_s gives
+    the global minimum of s, read off the normal form.
     """
     for v in sys.b.all_values():
         if v < 2:
@@ -597,25 +571,14 @@ def spectral_hypothesis_check(sys: MoranSystem) -> Union[Satisfied, Violated]:
 
     Periodic specs are decided exactly: a violation inside the periodic part
     recurs forever (no m_0 exists), otherwise m_0 is one past the last
-    preperiod violation. Prefix specs report on the window, uncertified.
+    preperiod violation. Prefix specs report on the window, uncertified,
+    and a violation at the horizon reports the first one.
     """
-    N = sys.N
-
-    def ok(k):
-        return abs(sys.b.entry(k)) > (N - 1) * abs(sys.t.entry(k))
-
-    if sys.is_periodic:
-        sk = sys.skeleton
-        P, p = sk.P, sk.p
-        for k in range(P + 1, P + p + 1):
-            if not ok(k):
-                return Violated(k)
-        bad = [k for k in range(1, P + 1) if not ok(k)]
-        return Satisfied((bad[-1] + 1) if bad else 1)
-    H = sys.horizon
-    bad = [k for k in range(1, H + 1) if not ok(k)]
-    if not bad:
-        return Satisfied(1, certified=False)
-    if bad[-1] < H:
-        return Satisfied(bad[-1] + 1, certified=False)
-    return Violated(bad[0], certified=False)
+    bad = []
+    while (k := hypothesis_holds_from(sys, bad[-1] + 1 if bad else 1)) is not None:
+        if sys.is_periodic and k > sys.skeleton.P:
+            return Violated(k)
+        bad.append(k)
+    if bad and bad[-1] == sys.horizon:
+        return Violated(bad[0], certified=False)
+    return Satisfied(bad[-1] + 1 if bad else 1, certified=sys.is_periodic)

@@ -101,13 +101,25 @@ def test_flags_below_one_are_usage_errors(conf, capsys, argv, message):
 
 
 def test_analyze_scans_distinctness_once(conf, capsys, monkeypatch):
+    # a distinct periodic system is decided from its normal form with no
+    # scan; a colliding one is scanned once, with no bound, and the scan
+    # stops at its first repeat
     calls = []
     scan = SSkeleton.first_repeat
-    monkeypatch.setattr(SSkeleton, "first_repeat", lambda sk, n: calls.append(n) or scan(sk, n))
+
+    def spy(sk, n=None):
+        calls.append((n, scan(sk, n)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(SSkeleton, "first_repeat", spy)
     code, out, _ = run(capsys, ["analyze", conf(EX1)])
     assert code == 0
     assert "case I" in out
-    assert calls == [10]
+    assert calls == []
+    code, out, _ = run(capsys, ["analyze", conf(COLLIDER)])
+    assert code == 0
+    assert "collision, s_1 = s_2" in out
+    assert calls == [(None, (1, 2))]
 
 
 def test_spectrum_has_no_window_flag(conf, capsys):
@@ -317,6 +329,8 @@ _NINES = "<5,000 nines>"
             1,
             "FAIL level-1-orthogonality (candidate spectra must have distinct elements)",
         ),
+        # past the float range: the element's tail error is unbounded
+        (SPECTRUM_CERT, lambda p: p["levels"][0]["elements"].__setitem__(-1, 10**400), 1, "FAIL level-1-tail"),
         (TILE_CERT, lambda p: p.pop("complement_elements"), 3, "'complement_elements' must be a list of integers"),
         # 1.0 == 1, so only the parse-time check can tell this from the real set
         (TILE_CERT, _float_digit, 3, "'digit_elements' must be a list of integers"),
@@ -343,6 +357,7 @@ _NINES = "<5,000 nines>"
         "breakpoints-not-nested",
         "level-2-negated",
         "repeated-element",
+        "element-past-float-range",
         "tile-missing-complement",
         "tile-float-digit",
         "tile-string-k",

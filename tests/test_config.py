@@ -115,6 +115,14 @@ def test_depth_and_window_stop_at_the_cap():
             parse_config_text(EX1_TEXT + f"option.{option} = 4097\n")
 
 
+def test_K_stops_at_the_cap():
+    # a failing offset search tries 2K+1 offsets per element
+    assert parse_config_text(EX1_TEXT + "option.K = 4096\n").build_params().K == 4096
+    for value in ("4097", "100000000"):
+        with pytest.raises(ParseError, match=f"option.K: expected at most 4096, got {value}"):
+            parse_config_text(EX1_TEXT + f"option.K = {value}\n")
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ParseError, match="cannot read"):
         load_config(tmp_path / "absent.conf")

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moran.errors import (
@@ -274,8 +274,10 @@ def test_distinctness_agrees_with_pairwise_scan():
 
 @given(data=st.data())
 def test_first_repeat_past_the_window_matches_the_full_scan(data):
-    # a periodic scan stops at the certification window; up to three
-    # windows out it must still give the full scan's verdict and pair
+    # a periodic system the normal form clears is never scanned, and any
+    # other is scanned with no window; up to three report windows out
+    # (three times preperiod plus two periods at zero drift) it must give
+    # the full scan's verdict and pair
     N = data.draw(st.sampled_from([2, 3]))
     b = SequenceSpec.periodic(
         data.draw(st.lists(st.sampled_from([2, 3, 4, 6, 9, 12, 18, 27]), min_size=1, max_size=3)),
@@ -286,7 +288,8 @@ def test_first_repeat_past_the_window_matches_the_full_scan(data):
         preperiod=data.draw(st.lists(st.integers(1, 18), max_size=2)),
     )
     sys = MoranSystem(N, b, t)
-    k = data.draw(st.integers(1, 3 * sys.skeleton.cert_window()))
+    sk = sys.skeleton
+    k = data.draw(st.integers(1, 3 * (sk.report_window() if sk.drift else sk.P + 2 * sk.p)))
     assert sys.skeleton.first_repeat(k) == ref_first_repeat(sys, k)
 
 
@@ -315,6 +318,77 @@ def test_case_classify_requires_distinctness():
 def test_case_classify_prefix_undetermined():
     sys = MoranSystem(2, SequenceSpec.prefix([4, 4]), SequenceSpec.prefix([1, 1]))
     assert isinstance(case_classify(sys), Undetermined)
+
+
+# -- periodic normal form --------------------------------------------------
+
+
+@st.composite
+def periodic_systems(draw):
+    # signed entries sign * u * N^a with u prime to N, and preperiods; half
+    # the draws put one factor N in each scale entry and digit-step
+    # exponents that are multiples of the digit period, so the classes
+    # stay distinct mod the drift and steps far apart give case II
+    N = draw(st.sampled_from([2, 3, 5]))
+
+    def entries(exponents):
+        return st.builds(
+            lambda sign, unit, a: sign * unit * N**a,
+            st.sampled_from([1, -1]),
+            st.sampled_from([1, 7, 11]),
+            exponents,
+        )
+
+    b = entries(st.integers(0, 2)).map(lambda v: v * N if abs(v) < 2 else v)
+    t = entries(st.integers(0, 4))
+    if draw(st.booleans()):
+        period = draw(st.integers(2, 3))
+        steps = entries(st.integers(0, 3).map(lambda m: period * m))
+        b_period = draw(st.lists(entries(st.just(1)), min_size=1, max_size=2))
+        t_period = draw(st.lists(steps, min_size=period, max_size=period))
+    else:
+        b_period = draw(st.lists(b, min_size=1, max_size=3))
+        t_period = draw(st.lists(t, min_size=1, max_size=3))
+    return MoranSystem(
+        N,
+        SequenceSpec.periodic(b_period, preperiod=draw(st.lists(b, max_size=2))),
+        SequenceSpec.periodic(t_period, preperiod=draw(st.lists(t, max_size=2))),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(sys=periodic_systems())
+def test_normal_form_matches_a_brute_scan(sys):
+    # every all-k answer read off the normal form against a plain scan of
+    # ref_s over eleven report windows, at every k in the first ten
+    sk = sys.skeleton
+    W = sk.report_window() if sk.drift else sk.P + 2 * sk.p
+    s = [None] + [ref_s(sys, k) for k in range(1, 11 * W + 1)]
+    ks = range(1, 10 * W + 1)
+    seen, pair = {}, None
+    for j in range(1, len(s)):
+        if s[j] in seen:
+            pair = (seen[s[j]], j)
+            break
+        seen[s[j]] = j
+    assert distinctness_check(sys) == (Distinct(None) if pair is None else Collision(*pair))
+    assert [sk.tail_min(k) for k in ks] == [min(s[k + 1 :]) for k in ks]
+    if sk.drift == 0:
+        return
+    last = {k: max(j for j in range(k, len(s)) if s[j] <= s[k]) for k in ks}
+    assert [frak_n(sys, k) for k in ks] == [last[k] for k in ks]
+    assert alpha_true(sys) == max(last[k] - k for k in ks)
+    if pair is not None:
+        return
+    bps = tuple(k for k in ks if min(s[k + 1 :]) > max(s[1 : k + 1]))
+    case = case_classify(sys)
+    # case I has a breakpoint in every period, case II none past k0 - 1
+    if any(k > 9 * W for k in bps):
+        assert isinstance(case, CaseI)
+        assert case.breakpoints == tuple(k for k in bps if k <= case.window)
+    else:
+        assert isinstance(case, CaseII)
+        assert case.k0 == max(bps, default=0) + 1
 
 
 # -- existence -------------------------------------------------------------
