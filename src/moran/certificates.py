@@ -15,7 +15,7 @@ from . import __version__
 from .errors import ParseError, PreconditionError
 from .spectra import SpectrumBuildParams, level_checks
 from .system import MoranSystem, normalize
-from .tiling import ELEMENT_CAP, aggregate, tile_checks
+from .tiling import ELEMENT_CAP, _over_cap, aggregate, tile_checks
 
 KINDS = ("tile", "spectrum-level", "verification")
 
@@ -230,7 +230,7 @@ def _spectrum_levels(payload, N: int) -> list:
             raise ParseError(f"{where}: 'breakpoints' must extend record {i - 1}'s by one entry")
         if record.get("orthogonal") is not True or record.get("complete") is not True:
             raise ParseError(f"{where}: 'orthogonal' and 'complete' must both be true")
-        if bps[-1] >= ELEMENT_CAP.bit_length() or N ** bps[-1] > ELEMENT_CAP:
+        if _over_cap(N, bps[-1], ELEMENT_CAP):
             raise ParseError(f"{where}: level size {N}^{bps[-1]} is over the cap {ELEMENT_CAP}")
         _int_list(record, "elements", where)
         if not isinstance(record.get("denormalized"), list):

@@ -95,6 +95,9 @@ def _grid_points(grid) -> np.ndarray:
 def cmd_analyze(cfg, args) -> int:
     system = cfg.system()
     window = args.window or cfg.options.get("window") or default_window(system)
+    # a prefix system has no exponent past its horizon
+    if system.horizon is not None:
+        window = min(window, system.horizon)
     print(f"config: {cfg.source}")
     print(f"fingerprint: {cfg.fingerprint()}")
     print(
@@ -265,11 +268,12 @@ def cmd_verify(cfg, args) -> int:
 # -- plot-data -------------------------------------------------------------
 
 
-def _csv(rows, header: str) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+def _csv(header: str, *columns) -> str:
+    """One row per index of the equal-length float columns, each value
+    as %.17g: Python floats from tolist(), one format per row."""
+    row = ",".join(["%.17g"] * len(columns))
+    lines = [row % values for values in zip(*(np.asarray(c, dtype=float).tolist() for c in columns))]
+    return "\n".join([header, *lines]) + "\n"
 
 
 def cmd_plot_data(cfg, args) -> int:
@@ -279,17 +283,17 @@ def cmd_plot_data(cfg, args) -> int:
     depth = args.depth or cfg.options.get("depth", SpectrumBuildParams.depth)
     if args.what == "mu_hat":
         values = np.abs(mu_hat_shifted_grid(system, args.k, xs, 0))
-        text = _csv(zip(xs, values), "x,value")
+        text = _csv("x,value", xs, values)
     elif args.what == "nu_tail":
         values, errs = TailKernel(system, args.k, depth).grid(xs)
-        text = _csv(zip(xs, np.hypot(values.real, values.imag), errs), "x,value,err")
+        text = _csv("x,value,err", xs, np.hypot(values.real, values.imag), errs)
     else:
         params = cfg.build_params(depth=args.depth)
         levels = build_spectrum(system, args.levels, params)
         final = levels[-1]
         work, _ = normalize(system)
         total = q_sum(work, final.elements, final.breakpoints[-1], xs)
-        text = _csv(zip(xs, total), "x,value")
+        text = _csv("x,value", xs, total)
     _emit(text, args.out, "plot data")
     return EXIT_OK
 

@@ -61,21 +61,28 @@ def mu_hat_shifted_grid(sys: MoranSystem, k: int, xs, shift: int) -> np.ndarray:
     top = float(np.abs(xs).max(initial=0.0))
     out = np.ones(xs.shape, dtype=complex)
     for j in range(1, k + 1):
-        B = sys.b_product(j)
-        t = sys.t_entry(j)
-        ratio = (shift % B) / B
-        try:
-            scale = 1.0 / float(B)
-        except OverflowError:
-            scale = 0.0
-        # ratio >= 0, so no |theta| is above ratio + top * scale
-        _check_phases(sys.N, t, ratio + top * scale, j, "float transform", top)
-        theta = ratio + xs * scale
-        acc = np.ones(xs.shape, dtype=complex)
-        for d in range(1, sys.N):
-            acc += np.exp(2j * pi * d * t * theta)
-        out *= acc / sys.N
+        out *= _shifted_factor(sys, j, xs, shift % sys.b_product(j), top)
     return out
+
+
+def _shifted_factor(sys: MoranSystem, j: int, xs: np.ndarray, residue: int, top: float) -> np.ndarray:
+    """Factor j of the transform at xs + shift, for every integer shift
+    with shift % B_j == residue: the phase depends on the shift only
+    through that residue. top is max |xs|, for the phase check."""
+    B = sys.b_product(j)
+    t = sys.t_entry(j)
+    ratio = residue / B
+    try:
+        scale = 1.0 / float(B)
+    except OverflowError:
+        scale = 0.0
+    # ratio >= 0, so no |theta| is above ratio + top * scale
+    _check_phases(sys.N, t, ratio + top * scale, j, "float transform", top)
+    theta = ratio + xs * scale
+    acc = np.ones(xs.shape, dtype=complex)
+    for d in range(1, sys.N):
+        acc += np.exp(2j * pi * d * t * theta)
+    return acc / sys.N
 
 
 def _means(N: int, thetas):

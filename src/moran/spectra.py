@@ -25,7 +25,7 @@ from .errors import (
     ResourceError,
     UnsupportedCaseError,
 )
-from .fourier import TailKernel, _residue_products, mu_hat_shifted_grid
+from .fourier import TailKernel, _residue_products, _shifted_factor
 from .numthy import _valuation_unchecked
 from .system import (
     CaseI,
@@ -40,7 +40,7 @@ from .system import (
     normalize,
     spectral_hypothesis_check,
 )
-from .tiling import ELEMENT_CAP, aggregate
+from .tiling import ELEMENT_CAP, _over_cap, aggregate
 
 _FACTOR_FLOOR = 1e-6
 
@@ -534,11 +534,45 @@ def q_sum(sys: MoranSystem, lam, k: int, xs: np.ndarray) -> np.ndarray:
     at every point x of the float array xs.
 
     Shifts by the elements go through exact modular reduction per
-    factor, so large elements cost no precision.
+    factor, so large elements cost no precision. Factor j depends on an
+    element only through its residue mod B_j, and B_{j-1} divides B_j, so
+    the product of factors 1..j depends only on that residue: the
+    products form a tree over the residues. The walk goes depth first,
+    lam[0]'s path first, and evaluates each node's factor once, holding
+    only the rows on the current path. The leaves are summed in the order
+    of lam, so the sum has the bits of the per-element loop over
+    mu_hat_shifted_grid.
     """
+    xs = np.asarray(xs, dtype=float)
+    if k < 0:
+        raise DomainError(f"level must be >= 0, got {k}")
+    top = float(np.abs(xs).max(initial=0.0))
+    Bs = [sys.b_product(j) for j in range(1, k + 1)]
+    paths = [tuple(int(v) % B for B in Bs) for v in lam]
+    # siblings in order of first appearance in lam, so lam[0]'s path leads
+    first = [{} for _ in Bs]
+    keys = [tuple(seen.setdefault(r, i) for seen, r in zip(first, path)) for i, path in enumerate(paths)]
+    rows = [np.ones(xs.shape, dtype=complex)]  # the products along the current path
+    leaves = [None] * len(paths)
+    prev = None
+    for i in sorted(range(len(paths)), key=keys.__getitem__):
+        path = paths[i]
+        if path != prev:
+            # an equal residue mod B_j means equal residues below j too
+            depth = 0 if prev is None else next(j for j, (a, b) in enumerate(zip(prev, path)) if a != b)
+            del rows[depth + 1 :]
+            for j in range(depth + 1, k + 1):
+                # in place, as mu_hat_shifted_grid multiplies: numpy may
+                # round a one-point out-of-place product differently
+                row = rows[-1].copy()
+                row *= _shifted_factor(sys, j, xs, path[j - 1], top)
+                rows.append(row)
+            leaf = np.abs(rows[-1]) ** 2
+            prev = path
+        leaves[i] = leaf
     total = np.zeros(xs.shape)
-    for lam_i in lam:
-        total += np.abs(mu_hat_shifted_grid(sys, k, xs, lam_i)) ** 2
+    for leaf in leaves:
+        total += leaf
     return total
 
 
@@ -593,6 +627,13 @@ def _verify_level(work, level, params, prev):
     )
 
 
+def _check_level_size(N: int, k: int):
+    """Refuse a level of N^k elements over ELEMENT_CAP before it is
+    formed, by the rule the certificate replay applies."""
+    if _over_cap(N, k, ELEMENT_CAP):
+        raise ResourceError(f"level at k = {k} would hold {N}^{k} elements, over the cap {ELEMENT_CAP}")
+
+
 def _drive(work, case, m0, blocks, params, scale_exponent):
     levels = [trivial_level(scale_exponent)]
     for i in range(blocks):
@@ -601,6 +642,7 @@ def _drive(work, case, m0, blocks, params, scale_exponent):
             k_next = max(case.k0, m0)
         else:
             k_next = _next_breakpoint(work, case, prev, m0, params)
+        _check_level_size(work.N, k_next)
         level = build_level(work, prev, prev.breakpoints[-1], k_next, case, params)
         levels.append(_verify_level(work, level, params, prev.elements if prev.level else None))
     return tuple(levels[1:])
@@ -610,10 +652,12 @@ def _admission(sys):
     work, m_extra = normalize(sys)
     hyp = spectral_hypothesis_check(work)
     if isinstance(hyp, Violated):
-        raise UnsupportedCaseError(
-            f"tail certification needs |b_k| > (N-1)|t_k| for all large k; "
+        where = (
             f"index {hyp.k} violates it inside the repeating part"
+            if hyp.certified
+            else f"the finite prefix violates it at index {hyp.k} and at its horizon {work.horizon}"
         )
+        raise UnsupportedCaseError(f"tail certification needs |b_k| > (N-1)|t_k| for all large k; {where}")
     return work, m_extra, hyp.m0
 
 
@@ -629,6 +673,7 @@ def build_spectrum(sys: MoranSystem, n: int, params: Optional[SpectrumBuildParam
     params = params or SpectrumBuildParams()
     if n < 1:
         raise DomainError("need at least one level")
+    _check_level_size(sys.N, n)  # level n ends at k_n >= n
     work, m_extra, m0 = _admission(sys)
     case = case_classify(work)  # refuses colliding level exponents
     if isinstance(case, Undetermined):

@@ -26,6 +26,12 @@ SEARCH_SIZE_CAP = 2**12
 _CHUNK_CELLS = 2**18
 
 
+def _over_cap(N: int, k: int, cap: int) -> bool:
+    """Is N^k over cap? N >= 2, so N^k is over it once k reaches the
+    cap's bit length, and a huge k is decided before N^k is computed."""
+    return k >= cap.bit_length() or N**k > cap
+
+
 @dataclass(frozen=True)
 class AggregateDigitSet:
     """All digit sets up to level k folded into a single integer set.
@@ -84,14 +90,12 @@ def aggregate(sys: MoranSystem, k: int) -> AggregateDigitSet:
     """Expand the first k digit sets into one set of integers.
 
     The expansion has N^k formal sums, so ELEMENT_CAP guards against
-    runaway growth before anything is allocated. Since N >= 2, N^k is
-    over the cap once k reaches its bit length, so a huge k is refused
-    before N^k is computed. Split at h = k // 2, each sum is one of levels 1..h times
+    runaway growth before anything is allocated. Split at h = k // 2, each sum is one of levels 1..h times
     b_{h+1} ... b_k plus one of levels h+1..k: one addition, not k multiply-adds.
     """
     if k < 1:
         raise PreconditionError("aggregate requires k >= 1")
-    if k >= ELEMENT_CAP.bit_length() or sys.N**k > ELEMENT_CAP:
+    if _over_cap(sys.N, k, ELEMENT_CAP):
         raise ResourceError(
             f"level {k} expansion has {sys.N}^{k} formal sums, over the cap {ELEMENT_CAP}"
         )

@@ -23,6 +23,8 @@ ODD_SCALE = "N = 2\nb.period = 3\nt.period = 1\n"
 TERNARY = "N = 3\nb.period = 9\nt.period = 1 4\n"
 # a horizon of 4, below the default tail depth of 16
 SHORT_PREFIX = "N = 2\nb.prefix = 4 4 4 4\nt.prefix = 1 1 1 1\n"
+# t_k = 9 * 18^(k-1) up to a horizon of 20: |b_k| <= |t_k| from k = 2 on
+PREFIX = "N = 2\nb.period = 18\nt.prefix = " + " ".join(str(9 * 18**i) for i in range(20)) + "\n"
 
 
 @pytest.fixture
@@ -63,6 +65,14 @@ def test_analyze_collision_still_reports(conf, capsys):
     assert code == 0
     assert "collision" in out
     assert "not applicable" in out
+
+
+def test_analyze_window_stops_at_a_prefix_horizon(conf, capsys):
+    code, out, err = run(capsys, ["analyze", conf(PREFIX), "--window", "40"])
+    assert code == 0
+    assert err == ""
+    assert f"level exponents (k = 1..20): {', '.join(['0'] * 20)}\n" in out
+    assert "distinctness: collision, s_1 = s_2 = 0\n" in out
 
 
 def test_analyze_sums_a_short_prefix_to_its_horizon(conf, capsys):
@@ -484,7 +494,42 @@ def test_tile_huge_k_is_a_limit_in_little_memory(conf, capsys):
 def test_spectrum_refusal_names_the_inequality(conf, capsys):
     code, _, err = run(capsys, ["spectrum", conf(TILE_ONLY), "--levels", "1"])
     assert code == 1
-    assert "|b_k| > (N-1)|t_k|" in err
+    assert err == (
+        "refusal: tail certification needs |b_k| > (N-1)|t_k| for all large k; "
+        "index 2 violates it inside the repeating part\n"
+    )
+
+
+def test_spectrum_refusal_on_a_prefix_names_its_horizon(conf, capsys):
+    # a prefix system has no repeating part: the refusal names the prefix
+    code, _, err = run(capsys, ["spectrum", conf(PREFIX), "--levels", "2"])
+    assert code == 1
+    assert err == (
+        "refusal: tail certification needs |b_k| > (N-1)|t_k| for all large k; "
+        "the finite prefix violates it at index 2 and at its horizon 20\n"
+    )
+
+
+def test_spectrum_levels_over_the_cap_are_a_limit_at_once(conf, capsys):
+    # k_n >= n, so n = 40 is over the cap before any level is formed
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["spectrum", conf(EX1), "--levels", "40"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out.count("\n") == 1  # the fingerprint only
+    assert err == "limit: level at k = 40 would hold 2^40 elements, over the cap 16777216\n"
+
+
+def test_spectrum_refuses_a_level_over_the_cap_before_building_it(conf, capsys, monkeypatch):
+    # levels 1 and 2 end at k = 2 and 4; level 3 would end at k = 6
+    monkeypatch.setattr(spectra, "ELEMENT_CAP", 32)
+    built = []
+    real = spectra.build_level
+    monkeypatch.setattr(spectra, "build_level", lambda *a: built.append(a[3]) or real(*a))
+    code, out, err = run(capsys, ["spectrum", conf(EX1), "--levels", "3"])
+    assert code == 2
+    assert built == [2, 4]
+    assert err == "limit: level at k = 6 would hold 2^6 elements, over the cap 32\n"
 
 
 def test_spectrum_collision_refusal(conf, capsys):
@@ -572,6 +617,15 @@ def test_plot_mu_hat_phase_overflow_is_a_limit(conf, capsys):
     # the same grid through the level-k transform: its phase 2*pi*2*4*x/9
     # passes the float range at the first factor
     argv = ["plot-data", conf(TERNARY), "--what", "mu_hat", "--k", "1", "--grid=1e308:1.7e308:2"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "limit: float transform phase overflows at factor 1 for |x| = 1.7e+308; use a grid nearer 0\n"
+
+
+def test_plot_q_phase_overflow_is_a_limit(conf, capsys):
+    # the level-2 sum refuses at the first factor of the first element
+    argv = ["plot-data", conf(TERNARY), "--what", "Q", "--levels", "2", "--grid=1e308:1.7e308:2"]
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""

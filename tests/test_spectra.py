@@ -7,14 +7,19 @@ hand from the level exponents and carried indices.
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import prod
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
+
+from moran import spectra
 
 from moran.errors import (
     DomainError,
@@ -23,7 +28,7 @@ from moran.errors import (
     ResourceError,
     UnsupportedCaseError,
 )
-from moran.fourier import TailKernel, m_factor, mu_hat_k, nu_hat_tail
+from moran.fourier import TailKernel, m_factor, mu_hat_k, mu_hat_shifted_grid, nu_hat_tail
 from moran.spectra import (
     QGridReport,
     SpectrumBlock,
@@ -37,6 +42,7 @@ from moran.spectra import (
     extension_factor_floor,
     omega_split,
     q_grid_check,
+    q_sum,
     trivial_level,
     verify_orthogonal,
     verify_spectrum_finite,
@@ -518,6 +524,57 @@ def test_q_grid_passes_built_level_and_fails_broken_set():
     assert not bad.passed
     assert bad.max_deviation > 0.1
     assert verify_orthogonal(ex1n, [0, 1], 1) == (False, 1)
+
+
+def ref_q_sum(sys, lam, k, xs):
+    """The completeness functional as the per-element loop: one
+    mu_hat_shifted_grid call per element, summed in the order of lam."""
+    total = np.zeros(xs.shape)
+    for v in lam:
+        total += np.abs(mu_hat_shifted_grid(sys, k, xs, v)) ** 2
+    return total
+
+
+@lru_cache(maxsize=None)
+def q_levels():
+    """(normalized system, top level elements, its k) for built spectra of
+    N = 2, 3 and 5."""
+    out = []
+    for N, bs, ts, n in ((2, [18], [1, 4], 3), (2, [18], [1, 16], 2), (3, [9], [1, 4], 2), (5, [50], [1, 2], 1)):
+        sys = MoranSystem(N, SequenceSpec.periodic(bs), SequenceSpec.periodic(ts))
+        final = build_spectrum(sys, n)[-1]
+        out.append((normalize(sys)[0], final.elements, final.breakpoints[-1]))
+    return tuple(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_q_sum_has_the_bits_of_the_per_element_sum(data):
+    work, elements, top_k = data.draw(st.sampled_from(q_levels()))
+    # the whole level, or a sample with repeats, negated or translated
+    lam = data.draw(st.one_of(st.just(list(elements)), st.lists(st.sampled_from(elements), max_size=40)))
+    sign = data.draw(st.sampled_from([1, -1]))
+    shift = data.draw(st.one_of(st.just(0), st.integers(-(10**30), 10**30)))
+    lam = [sign * e + shift for e in lam]
+    k = data.draw(st.integers(0, top_k))
+    start = data.draw(st.sampled_from([0.0, -0.5, 0.37, 1e4, -1e4, 1e6]))
+    width = data.draw(st.sampled_from([1.0, 50.0, 2e4]))
+    xs = np.linspace(start, start + width, data.draw(st.integers(1, 64)))
+    assert q_sum(work, lam, k, xs).tobytes() == ref_q_sum(work, lam, k, xs).tobytes()
+
+
+def test_q_sum_evaluates_each_residue_prefix_once(monkeypatch):
+    # level 3 of N=2, b=[18], t=[1,4] (k = 6, 64 elements) has 4, 8, 16,
+    # 32, 64 and 64 residues mod B_1..B_6: 188 factor rows, where one row
+    # per element and factor would be 384
+    work, elements, k = q_levels()[0]
+    assert (len(elements), k) == (64, 6)
+    factors = []
+    real = spectra._shifted_factor
+    monkeypatch.setattr(spectra, "_shifted_factor", lambda *a: factors.append(a[1]) or real(*a))
+    q_sum(work, elements, k, np.linspace(0.37, 1.37, 16))
+    assert Counter(factors) == {1: 4, 2: 8, 3: 16, 4: 32, 5: 64, 6: 64}
+    assert len(factors) == 188
 
 
 # -- drivers ---------------------------------------------------------------
